@@ -128,10 +128,12 @@ def fermi_dirac(energy_ev: float | np.ndarray, mu_ev: float,
     if kt_ev <= 0.0:
         raise ValueError(f"kT must be positive, got {kt_ev}")
     x = (np.asarray(energy_ev, dtype=float) - mu_ev) / kt_ev
-    # exp(-|x|) never overflows; branch on the sign of x.
-    out = np.where(x > 0.0,
-                   np.exp(-np.clip(x, 0.0, None)) / (1.0 + np.exp(-np.clip(x, 0.0, None))),
-                   1.0 / (1.0 + np.exp(np.clip(x, None, 0.0))))
+    # exp(-|x|) never overflows: f = t / (1 + t) above mu, 1 / (1 + t)
+    # at and below it.  In place, so only three arrays are ever alive.
+    t = np.exp(-np.abs(x))
+    out = np.where(x > 0.0, t, 1.0)
+    t += 1.0
+    out /= t
     if np.isscalar(energy_ev):
         return float(out)
     return out

@@ -34,6 +34,7 @@ simulator in the test suite and in ``benchmarks/bench_ablation_engines.py``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,6 +249,30 @@ class SBFETModel:
                    + np.interp(u - mu_d_ev, self._lut_u, self._lut_p0))
         return n, p
 
+    def _bisection_residual(self, u_laplace_ev: float,
+                            vd: float) -> Callable[[float], float]:
+        """The residual ``r(U)`` whose root :meth:`solve_midgap_ev` brackets.
+
+        Bitwise the single-level :meth:`_densities_at_level` arithmetic,
+        but with two ``np.interp`` calls on the (source, drain) level pair
+        instead of four on one-element arrays: the bisection evaluates it
+        about 17 times per bias point.
+        """
+        c_ins = self.geometry.insulator_capacitance_f_per_nm
+        mu_pair = np.array([0.0, -vd])
+        lut_u, lut_n0, lut_p0 = self._lut_u, self._lut_n0, self._lut_p0
+
+        def residual(u: float) -> float:
+            levels = u - mu_pair
+            n_s, n_d = np.interp(levels, lut_u, lut_n0)
+            p_s, p_d = np.interp(levels, lut_u, lut_p0)
+            n = 0.5 * (n_s + n_d)
+            p = 0.5 * (p_s + p_d)
+            charging = Q_E * (n - p) / c_ins  # volts == eV here
+            return u - u_laplace_ev - charging
+
+        return residual
+
     def solve_midgap_ev(self, vg: float, vd: float,
                         tol_ev: float = 1e-6,
                         max_iter: int = 80,
@@ -270,13 +295,7 @@ class SBFETModel:
         (within ``tol_ev``) with or without the guess.
         """
         u_laplace = self.laplace_midgap_ev(vg, vd)
-        c_ins = self.geometry.insulator_capacitance_f_per_nm
-        mu_s, mu_d = 0.0, -vd
-
-        def residual(u: float) -> float:
-            n, p = self._densities_at_level(np.array([u]), mu_s, mu_d)
-            charging = Q_E * (n[0] - p[0]) / c_ins  # volts == eV here
-            return u - u_laplace - charging
+        residual = self._bisection_residual(u_laplace, vd)
 
         lo = hi = None
         if initial_guess_ev is not None:
@@ -348,6 +367,18 @@ class SBFETModel:
         (interband mixing is neglected), and modes add as independent
         Landauer channels.
 
+        Both decay rates split into a shared gap term plus a step:
+        ``kappa_e = kappa_gap + kappa_max [E - U < -E_n]`` and
+        ``kappa_h = kappa_gap + kappa_max [E - U > E_n]``, exactly element
+        by element, because ``kappa_gap = sqrt(max(E_n^2 - (E - U)^2, 0))
+        / (hbar v)`` is exactly 0 outside the gap.  ``E - U(x)`` and its
+        square are formed once per call; per mode the gap integrand is
+        one in-place subtract / maximum / sqrt and one trapezoid sum, and
+        each step term is an integer count of the positions past the
+        opposite band edge.  The counter
+        ``device.sbfet.transmission_points`` adds energies x positions x
+        modes per call.
+
         When a NEGF engine is selected (``engine=`` / ``REPRO_ENGINE``),
         the WKB evaluation below is replaced by the corresponding
         atomistic kernel on the same profile; everything upstream
@@ -364,8 +395,8 @@ class SBFETModel:
                     "SBFETModel.transmission",
                     energies_ev=np.asarray(energies_ev, dtype=float))
             return total
-        e = np.asarray(energies_ev, dtype=float)[:, None]
-        u = np.asarray(profile_midgap_ev, dtype=float)[None, :]
+        e = np.asarray(energies_ev, dtype=float)
+        u = np.asarray(profile_midgap_ev, dtype=float)
         # Interior midgap level and impurity-induced well depths for the
         # quantum-reflection correction (WKB alone is transparent to
         # attractive wells, which would overstate the benefit of
@@ -374,33 +405,45 @@ class SBFETModel:
         imp = self._impurity_profile_ev
         well_e = max(0.0, -float(imp.min()))   # electron well (positive charge)
         well_h = max(0.0, float(imp.max()))    # hole well (negative charge)
+        if obs.ACTIVE:
+            obs.incr("device.sbfet.transmission_points",
+                     e.size * u.size * len(self.modes))
 
-        total = np.zeros(e.shape[0])
-        for edge, hv in zip(self._edges_ev, self._hv_ev_nm):
-            delta = e - u
-            kappa_gap = np.sqrt(np.clip(edge ** 2 - delta ** 2, 0.0, None)) / hv
+        # Laid out (position, energy) so every pass streams the long
+        # energy axis; two float arrays of scratch serve every mode.
+        dx = self._dx_nm
+        delta = np.subtract(e, u[:, None])        # E - U(x)
+        mask = np.empty(delta.shape, dtype=bool)
+        # Lengths below the valence / above the conduction edge, taken
+        # before delta is squared in place.
+        steps = [(_trapezoid_mask(np.less(delta, -edge, out=mask), dx),
+                  _trapezoid_mask(np.greater(delta, edge, out=mask), dx))
+                 for edge in self._edges_ev]
+        delta_sq = np.square(delta, out=delta)
+        buf = np.empty_like(delta_sq)
+
+        total = np.zeros(e.size)
+        for edge, hv, (below_val, above_cond) in zip(
+                self._edges_ev, self._hv_ev_nm, steps):
+            np.subtract(edge * edge, delta_sq, out=buf)
+            np.maximum(buf, 0.0, out=buf)
+            gap = _trapezoid_rows(np.sqrt(buf, out=buf), dx) / hv
             kappa_max = edge / hv
-            above_cond = delta > edge
-            below_val = delta < -edge
-            kappa_e = np.where(above_cond, 0.0,
-                               np.where(below_val, kappa_max, kappa_gap))
-            kappa_h = np.where(below_val, 0.0,
-                               np.where(above_cond, kappa_max, kappa_gap))
-            exp_e = 2.0 * np.trapezoid(kappa_e, dx=self._dx_nm, axis=1)
-            exp_h = 2.0 * np.trapezoid(kappa_h, dx=self._dx_nm, axis=1)
-            t_e = np.exp(-np.clip(exp_e, 0.0, 200.0))
-            t_h = np.exp(-np.clip(exp_h, 0.0, 200.0))
+            t_e = np.exp(-np.clip(2.0 * (gap + kappa_max * below_val),
+                                  0.0, 200.0))
+            t_h = np.exp(-np.clip(2.0 * (gap + kappa_max * above_cond),
+                                  0.0, 200.0))
             if well_e > 0.0:
                 t_e = t_e * self._well_factor(
-                    e[:, 0] - u_interior, edge, hv, well_e)
+                    e - u_interior, edge, hv, well_e)
             if well_h > 0.0:
                 t_h = t_h * self._well_factor(
-                    -(e[:, 0] - u_interior), edge, hv, well_h)
+                    -(e - u_interior), edge, hv, well_h)
             total += np.maximum(t_e, t_h)
         if sanitize.ACTIVE:
             sanitize.check_transmission(total, len(self.modes),
                                         "SBFETModel.transmission",
-                                        energies_ev=e[:, 0])
+                                        energies_ev=e)
         return total
 
     @staticmethod
@@ -514,3 +557,25 @@ class SBFETModel:
         """Convenience: self-consistent drain current at one bias point."""
         u_ch, _ = self.solve_midgap_ev(vg, vd)
         return self.current_a(u_ch, vd)
+
+
+def _trapezoid_rows(y: np.ndarray, dx: float) -> np.ndarray:
+    """Trapezoid rule over the rows of ``y``: ``dx (sum - (first + last)/2)``.
+
+    Column sums, not a dot product with the trapezoid weights: a
+    multi-threaded BLAS ``gemv`` wakes OpenBLAS's worker threads, which
+    then slow the single-threaded circuit code that runs after the
+    device tables.
+    """
+    return dx * (y.sum(axis=0) - 0.5 * (y[0] + y[-1]))
+
+
+def _trapezoid_mask(mask: np.ndarray, dx: float) -> np.ndarray:
+    """:func:`_trapezoid_rows` of a boolean mask, counted in integers.
+
+    Summing the mask's bytes into ``uint16`` counts (exact for any grid
+    of fewer than 65,536 rows) is several times cheaper than comparing
+    into a float buffer and summing that.
+    """
+    m = mask.view(np.uint8)
+    return dx * (m.sum(axis=0, dtype=np.uint16) - 0.5 * (m[0] + m[-1]))

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.constants import Q_E
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
+from repro.device.iv import sweep_iv
 from repro.device.sbfet import SBFETModel
+from repro.device.tables import DEFAULT_VD_GRID, DEFAULT_VG_GRID
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +164,147 @@ class TestImpurityProfile:
             n_index=12, impurity=ChargeImpurity(charge_e=-2.0)))
         assert m2._impurity_profile_ev.max() == pytest.approx(
             2.0 * m1._impurity_profile_ev.max(), rel=1e-9)
+
+
+# ---------------------------------------------------------------------- #
+# Kernel parity: the fused WKB kernel against the per-mode formulation
+# ---------------------------------------------------------------------- #
+def reference_transmission(model, energies_ev, profile_midgap_ev):
+    """Per-mode ``np.where`` / ``np.trapezoid`` form of the WKB kernel.
+
+    The direct formulation of the WKB branch of
+    ``SBFETModel.transmission``: each channel's decay rate built in
+    full, then integrated.  The fused kernel is held to it.
+    """
+    e = np.asarray(energies_ev, dtype=float)[:, None]
+    u = np.asarray(profile_midgap_ev, dtype=float)[None, :]
+    u_interior = float(np.median(u))
+    imp = model._impurity_profile_ev
+    well_e = max(0.0, -float(imp.min()))
+    well_h = max(0.0, float(imp.max()))
+    total = np.zeros(e.shape[0])
+    for edge, hv in zip(model._edges_ev, model._hv_ev_nm):
+        delta = e - u
+        kappa_gap = np.sqrt(np.clip(edge ** 2 - delta ** 2, 0.0, None)) / hv
+        kappa_max = edge / hv
+        above_cond = delta > edge
+        below_val = delta < -edge
+        kappa_e = np.where(above_cond, 0.0,
+                           np.where(below_val, kappa_max, kappa_gap))
+        kappa_h = np.where(below_val, 0.0,
+                           np.where(above_cond, kappa_max, kappa_gap))
+        exp_e = 2.0 * np.trapezoid(kappa_e, dx=model._dx_nm, axis=1)
+        exp_h = 2.0 * np.trapezoid(kappa_h, dx=model._dx_nm, axis=1)
+        t_e = np.exp(-np.clip(exp_e, 0.0, 200.0))
+        t_h = np.exp(-np.clip(exp_h, 0.0, 200.0))
+        if well_e > 0.0:
+            t_e = t_e * model._well_factor(
+                e[:, 0] - u_interior, edge, hv, well_e)
+        if well_h > 0.0:
+            t_h = t_h * model._well_factor(
+                -(e[:, 0] - u_interior), edge, hv, well_h)
+        total += np.maximum(t_e, t_h)
+    return total
+
+
+def reference_residual(model, u_laplace_ev, vd):
+    """The bisection residual through ``_densities_at_level``."""
+    c_ins = model.geometry.insulator_capacitance_f_per_nm
+
+    def residual(u):
+        n, p = model._densities_at_level(np.array([u]), 0.0, -vd)
+        return u - u_laplace_ev - Q_E * (n[0] - p[0]) / c_ins
+
+    return residual
+
+
+PARITY_GEOMETRIES = {
+    "nominal": GNRFETGeometry(n_index=12),
+    "wide": GNRFETGeometry(n_index=24),
+    "impurity+": GNRFETGeometry(
+        n_index=12, impurity=ChargeImpurity(charge_e=+1.0, position_nm=5.0)),
+    "impurity-": GNRFETGeometry(
+        n_index=12, impurity=ChargeImpurity(charge_e=-1.0, position_nm=5.0)),
+}
+# Off, ambipolar minimum (V_G ~ V_D / 2), on; equilibrium-adjacent and
+# the top of the supply range.
+PARITY_BIASES = [(0.0, 0.05), (0.25, 0.5), (0.375, 0.75), (0.75, 0.75),
+                 (0.6, 0.3)]
+
+
+class TestKernelParity:
+    @pytest.mark.parametrize("name", sorted(PARITY_GEOMETRIES))
+    def test_matches_per_mode_reference(self, name):
+        m = SBFETModel(PARITY_GEOMETRIES[name])
+        if name == "wide":
+            assert len(m.modes) >= 5
+        if name.startswith("impurity"):
+            # Exercises the quantum-reflection well factor.
+            assert np.ptp(m._impurity_profile_ev) > 0.05
+        for vg, vd in PARITY_BIASES:
+            u_ch, _ = m.solve_midgap_ev(vg, vd)
+            energies = m._current_energy_grid(u_ch, vd)
+            profile = m.band_profile_midgap_ev(u_ch, vd)
+            np.testing.assert_allclose(
+                m.transmission(energies, profile),
+                reference_transmission(m, energies, profile),
+                rtol=1e-12, atol=0.0)
+
+    def test_counts_transmission_points(self, model):
+        from repro import obs
+
+        profile = model.band_profile_midgap_ev(-0.2, 0.4)
+        energies = np.linspace(-1.0, 1.0, 37)
+        obs.reset()
+        obs.enable()
+        try:
+            model.transmission(energies, profile)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert counters["device.sbfet.transmission_points"] == (
+            37 * profile.size * len(model.modes))
+
+
+class TestBisectionResidual:
+    def test_bitwise_equal_to_density_lookup_form(self, model):
+        rng = np.random.default_rng(7)
+        for vg, vd in [(0.0, 0.0), (0.3, 0.5), (0.75, 0.75)]:
+            u_laplace = model.laplace_midgap_ev(vg, vd)
+            fast = model._bisection_residual(u_laplace, vd)
+            slow = reference_residual(model, u_laplace, vd)
+            for u in rng.uniform(u_laplace - 2.0, u_laplace + 2.0, 500):
+                assert fast(float(u)) == slow(float(u))
+
+
+@pytest.fixture(scope="module")
+def nominal_sweep():
+    return sweep_iv(GNRFETGeometry(), DEFAULT_VG_GRID, DEFAULT_VD_GRID,
+                    workers=1, checkpoint=0, engine="semianalytic")
+
+
+class TestSweepParity:
+    """A full nominal sweep with each reference patched back in."""
+
+    def _reference_sweep(self, monkeypatch, name, replacement):
+        monkeypatch.setattr(SBFETModel, name, replacement)
+        return sweep_iv(GNRFETGeometry(), DEFAULT_VG_GRID, DEFAULT_VD_GRID,
+                        workers=1, checkpoint=0, engine="semianalytic")
+
+    def test_residual_leaves_sweep_bitwise_unchanged(self, monkeypatch,
+                                                      nominal_sweep):
+        ref = self._reference_sweep(monkeypatch, "_bisection_residual",
+                                    reference_residual)
+        assert np.array_equal(nominal_sweep.midgap_ev, ref.midgap_ev)
+        assert np.array_equal(nominal_sweep.charge_c, ref.charge_c)
+        assert np.array_equal(nominal_sweep.current_a, ref.current_a)
+
+    def test_kernel_moves_only_currents_in_last_bits(self, monkeypatch,
+                                                     nominal_sweep):
+        ref = self._reference_sweep(monkeypatch, "transmission",
+                                    reference_transmission)
+        assert np.array_equal(nominal_sweep.midgap_ev, ref.midgap_ev)
+        assert np.array_equal(nominal_sweep.charge_c, ref.charge_c)
+        np.testing.assert_allclose(nominal_sweep.current_a, ref.current_a,
+                                   rtol=1e-12, atol=0.0)

@@ -54,6 +54,22 @@ class TestFermiDirac:
         assert f[0] == pytest.approx(1.0)
         assert f[1] == pytest.approx(0.0, abs=1e-200)
 
+    def test_one_exponential_matches_clipped_branches_bitwise(self):
+        """One ``exp(-|x|)`` serves both branches with the same bits as
+        evaluating each branch on its own clipped argument."""
+        rng = np.random.default_rng(3)
+        e = np.concatenate([rng.uniform(-5.0, 5.0, 20000),
+                            rng.uniform(-0.05, 0.05, 20000),
+                            [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]])
+        mu, kt = 0.013, 0.0259
+        x = (e - mu) / kt
+        reference = np.where(
+            x > 0.0,
+            np.exp(-np.clip(x, 0.0, None))
+            / (1.0 + np.exp(-np.clip(x, 0.0, None))),
+            1.0 / (1.0 + np.exp(np.clip(x, None, 0.0))))
+        assert np.array_equal(c.fermi_dirac(e, mu, kt), reference)
+
     def test_rejects_nonpositive_kt(self):
         with pytest.raises(ValueError):
             c.fermi_dirac(0.0, 0.0, kt_ev=0.0)
