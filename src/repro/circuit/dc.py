@@ -4,6 +4,11 @@ The residual at each free node is the sum of element currents flowing out
 of it (KCL); fixed nodes (supplies, inputs) contribute known voltages.  A
 small ``gmin`` conductance to ground conditions the Jacobian in cut-off
 regions where table derivatives vanish.
+
+Every Newton iteration assembles through the circuit's compiled
+:class:`~repro.circuit.plan.StampPlan` (the device current lookups,
+then one ``np.bincount`` per array), as do the source currents of
+:meth:`DCResult.source_current`.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import numpy as np
 
 from repro import obs, sanitize
 from repro.circuit.netlist import Circuit, GROUND
+from repro.circuit.plan import Assembler
 from repro.errors import ConvergenceError
 
 
@@ -39,44 +45,28 @@ class DCResult:
         Positive when the source pushes current into the circuit.
         """
         idx = self.circuit.node(node) if isinstance(node, str) else node
-        f = np.zeros(self.circuit.n_nodes)
-        for el in self.circuit.elements:
-            el.stamp_static(self.voltages, f, None)
-        # f[idx] is the net element current flowing out of the node into
-        # the elements; the source supplies exactly that.
+        # The net element current flowing out of the node into the
+        # elements; the source supplies exactly that.
+        f = self.circuit.compile().static_currents(self.voltages)
         return float(f[idx])
 
 
-def _assemble(circuit: Circuit, v: np.ndarray, gmin: float
-              ) -> tuple[np.ndarray, np.ndarray]:
-    n = circuit.n_nodes
-    f = np.zeros(n)
-    jac = np.zeros((n, n))
-    for el in circuit.elements:
-        el.stamp_static(v, f, jac)
-    if gmin > 0.0:
-        f += gmin * v
-        jac[np.diag_indices(n)] += gmin
-    return f, jac
-
-
-def _newton(circuit: Circuit, v: np.ndarray, free: np.ndarray,
-            gmin: float, tol_a: float, max_iter: int, damping_v: float
+def _newton(asm: Assembler, v: np.ndarray, gmin: float, tol_a: float,
+            max_iter: int, damping_v: float
             ) -> tuple[np.ndarray, int, bool]:
+    free = asm.free
     for iteration in range(1, max_iter + 1):
-        f, jac = _assemble(circuit, v, gmin)
-        residual = f[free]
-        if np.max(np.abs(residual)) < tol_a:
+        residual, j_ff = asm.assemble(v, gmin)
+        if np.abs(residual).max() < tol_a:
             return v, iteration, True
-        j_ff = jac[np.ix_(free, free)]
         try:
             dv = np.linalg.solve(j_ff, -residual)
         except np.linalg.LinAlgError:
             return v, iteration, False
-        if not np.all(np.isfinite(dv)):
+        if not np.isfinite(dv).all():
             return v, iteration, False
         # Voltage-step damping keeps table FETs in a sane region.
-        max_step = np.max(np.abs(dv))
+        max_step = np.abs(dv).max()
         if max_step > damping_v:
             dv *= damping_v / max_step
         v = v.copy()
@@ -119,8 +109,8 @@ def solve_dc(
     for node, value in fixed.items():
         v[node] = value
 
-    v_sol, iters, ok = _newton(circuit, v, free, gmin, tol_a,
-                               max_iter, damping_v)
+    asm = Assembler(circuit.compile(), free)
+    v_sol, iters, ok = _newton(asm, v, gmin, tol_a, max_iter, damping_v)
     if ok:
         if sanitize.ACTIVE:
             sanitize.check_finite(v_sol, "solve_dc", "node voltages")
@@ -137,12 +127,11 @@ def solve_dc(
         frac = step / source_steps
         for node, value in fixed.items():
             v[node] = frac * value
-        v, it, ok = _newton(circuit, v, free, gmin, tol_a,
-                            max_iter, damping_v)
+        v, it, ok = _newton(asm, v, gmin, tol_a, max_iter, damping_v)
         total_iters += it
         if not ok:
             # Retry this stage with a larger gmin before giving up.
-            v, it, ok = _newton(circuit, v, free, gmin * 1e3, tol_a * 10,
+            v, it, ok = _newton(asm, v, gmin * 1e3, tol_a * 10,
                                 max_iter, damping_v)
             total_iters += it
             if not ok:

@@ -172,7 +172,9 @@ def characterize_gate(
 
     For each input pin, the other pin is held at its non-controlling
     value and the switching pin toggles; the reported delay is the worst
-    pin's average of rise/fall propagation delays.
+    pin's average of rise/fall propagation delays.  A pin whose output
+    never completed both transitions reports NaN, and so does the worst
+    delay.
     """
     params = params or CircuitParameters()
     if kind == "nand2":
@@ -227,7 +229,10 @@ def characterize_gate(
         delays[circuit.node_name(switching)] = 0.5 * (t_plh + t_phl)
         circuit.fixed[switching] = 0.0
 
-    worst = max(delays.values())
+    # A pin that never switched makes the worst case unknown; ``max``
+    # alone would drop a NaN that does not come first.
+    values = list(delays.values())
+    worst = np.nan if np.any(np.isnan(values)) else max(values)
     return GateMetrics(name=kind, worst_delay_s=float(worst),
                        delays_s=delays,
                        static_power_w=gate_static_power_w(circuit, vdd),

@@ -6,43 +6,24 @@ voltage-source branches: every voltage source in the paper's circuits
 voltages is equivalent to full MNA and keeps the Jacobian square in the
 free node voltages.  The current delivered by a source is recovered after
 the solve by evaluating the KCL residual at its node.
+
+Solvers never walk the element list: :meth:`Circuit.compile` turns it
+once into a :class:`~repro.circuit.plan.StampPlan` of index arrays,
+which DC, VTC and transient analyses all assemble through.  The plan is
+cached on the circuit and dropped when an element or node is added;
+fixing nodes or changing their values does not invalidate it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
+from repro import obs
+from repro.circuit.elements import GROUND, Element
+from repro.circuit.plan import StampPlan
 from repro.errors import CircuitError
-
-GROUND = -1
-"""Node index of the reference node (0 V)."""
-
-
-class Element(Protocol):
-    """Anything that can stamp currents and capacitances into the solver.
-
-    ``stamp_static`` adds each terminal's *outflowing* static current to
-    the residual ``f`` and its voltage derivatives to the Jacobian ``jac``
-    (full-size arrays indexed by node; ground rows are dropped later).
-    ``capacitor_stamps`` returns the element's bias-dependent two-terminal
-    capacitances as ``(node_a, node_b, farads)`` triples; the transient
-    engine turns them into companion currents.
-    """
-
-    nodes: tuple[int, ...]
-
-    def stamp_static(self, v: np.ndarray, f: np.ndarray,
-                     jac: np.ndarray | None) -> None: ...
-
-    def capacitor_stamps(
-        self, v: np.ndarray) -> list[tuple[int, int, float]]: ...
-
-
-def voltage_at(v: np.ndarray, node: int) -> float:
-    """Voltage of ``node`` with ground folded in."""
-    return 0.0 if node == GROUND else float(v[node])
 
 
 class Circuit:
@@ -54,6 +35,7 @@ class Circuit:
         self.elements: list = []
         #: Fixed node voltages: node index -> value or callable(t) -> value.
         self.fixed: dict[int, float | Callable[[float], float]] = {}
+        self._plan: StampPlan | None = None
 
     # --- nodes ----------------------------------------------------------------
     def node(self, name: str) -> int:
@@ -66,6 +48,7 @@ class Circuit:
             return GROUND
         if name not in self._node_ids:
             self._node_ids[name] = len(self._node_ids)
+            self._plan = None
         return self._node_ids[name]
 
     @property
@@ -84,8 +67,24 @@ class Circuit:
 
     # --- construction -----------------------------------------------------------
     def add(self, element: Element) -> None:
-        """Add an element (anything satisfying the Element protocol)."""
+        """Add an element of one of the kinds of :data:`Element`.
+
+        Elements are plain records of terminals (``nodes``, ``GROUND``
+        allowed) and parameters; :meth:`compile` lowers them:
+
+        * ``Resistor`` and ``CurrentSource`` — constant-conductance and
+          constant-current stamps between their two nodes;
+        * ``Capacitor`` — one fixed two-terminal capacitance;
+        * ``TableFET`` / ``CompactMOSFET`` — a drain-to-source current
+          (with its ``V_GS``/``V_DS`` derivatives for Newton) and the
+          bias-dependent gate-source and gate-drain capacitances.
+
+        Raises :class:`CircuitError` for any other object.
+        """
+        if not isinstance(element, Element):
+            raise CircuitError(f"unsupported circuit element {element!r}")
         self.elements.append(element)
+        self._plan = None
 
     def fix(self, node: int | str,
             value: float | Callable[[float], float]) -> None:
@@ -108,21 +107,25 @@ class Circuit:
         return np.array([i for i in range(self.n_nodes) if i not in self.fixed],
                         dtype=int)
 
+    def compile(self) -> StampPlan:
+        """The circuit's stamp plan, built on first use and cached.
+
+        Raises :class:`CircuitError` if an element references a node
+        that does not exist.
+        """
+        if self._plan is None:
+            self._plan = StampPlan(self.elements, self.n_nodes)
+            if obs.ACTIVE:
+                obs.incr("circuit.plan_compiles")
+        return self._plan
+
     def validate(self) -> None:
         """Sanity-check the netlist before solving."""
         if self.n_nodes == 0:
             raise CircuitError("circuit has no nodes")
         if not self.elements:
             raise CircuitError("circuit has no elements")
-        touched = np.zeros(self.n_nodes, dtype=bool)
-        for el in self.elements:
-            for n in el.nodes:
-                if n != GROUND:
-                    if n >= self.n_nodes or n < 0:
-                        raise CircuitError(
-                            f"element {el!r} references unknown node {n}")
-                    touched[n] = True
-        untouched = [self.node_name(i) for i in range(self.n_nodes)
-                     if not touched[i] and i not in self.fixed]
+        untouched = [self.node_name(i) for i in self.compile().untouched
+                     if i not in self.fixed]
         if untouched:
             raise CircuitError(f"dangling nodes with no elements: {untouched}")

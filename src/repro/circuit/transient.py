@@ -1,18 +1,29 @@
 """Transient analysis: trapezoidal integration with per-step Newton.
 
-Every dynamic element reduces to bias-dependent two-terminal capacitances
-(see :class:`repro.circuit.netlist.Element`), so the integrator builds
-trapezoidal companion models generically:
+Every dynamic element reduces to bias-dependent two-terminal
+capacitances (see :meth:`repro.circuit.netlist.Circuit.add`), so the
+integrator builds companion models generically:
 
 ``i_C^{n+1} = (2C/h) (v^{n+1} - v^n) - i_C^n``
 
-with ``C`` evaluated at the previous converged solution (semi-implicit in
-the bias dependence — standard practice for table-based simulators and
-accurate for the smooth Q-V characteristics here).  The per-capacitor
-companion current is part of the integrator state.
+(trapezoidal; the first step uses backward Euler, ``i = (C/h) dv``,
+because no companion current is known yet).  ``C`` is evaluated once
+per step at the previous converged solution: the bias dependence is
+lagged, not integrated, so charge is not conserved exactly.  That is
+standard practice for table-based simulators and accurate for the
+smooth Q-V characteristics here; the charge error over a closed bias
+cycle has not been measured yet.  The per-capacitor companion current
+is part of the integrator state.
 
-Non-converging steps are retried with halved step size; the supply current
-is recorded every step so energy and power integrate directly.
+Everything is assembled through the circuit's compiled
+:class:`~repro.circuit.plan.StampPlan`.  Per step, the capacitances
+are one vectorized lookup; per step attempt, the companion
+conductances are stamped once; per Newton iteration, only the device
+currents and companion currents are re-evaluated.
+
+Non-converging steps are retried with halved step size.  The supply
+current is recorded every step from the static part of the step's last
+converged assembly, so energy and power integrate directly.
 """
 
 from __future__ import annotations
@@ -22,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs, sanitize
-from repro.circuit.netlist import Circuit, GROUND, voltage_at
+from repro.circuit.netlist import Circuit, GROUND
+from repro.circuit.plan import Assembler
 from repro.errors import ConvergenceError
 
 
@@ -63,72 +75,35 @@ class TransientResult:
                                   self.time_s))
 
 
-def _collect_caps(circuit: Circuit, v: np.ndarray
-                  ) -> list[tuple[int, int, float]]:
-    stamps: list[tuple[int, int, float]] = []
-    for el in circuit.elements:
-        stamps.extend(el.capacitor_stamps(v))
-    return stamps
+def _solve_step(asm: Assembler, v_guess: np.ndarray, dv_old: np.ndarray,
+                geq: np.ndarray, i_cap_prev: np.ndarray, trapezoidal: bool,
+                gmin: float, tol_a: float, max_iter: int, damping_v: float
+                ) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    """Newton for one step attempt.
 
-
-def _step_newton(circuit: Circuit, v_guess: np.ndarray, free: np.ndarray,
-                 caps: list[tuple[int, int, float]],
-                 i_cap_prev: np.ndarray, v_prev: np.ndarray, h: float,
-                 gmin: float, tol_a: float, max_iter: int,
-                 damping_v: float, backward_euler: bool = False
-                 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One integration step; returns (v, new companion currents, ok).
-
-    Trapezoidal by default; ``backward_euler=True`` is used for the very
-    first step (and could be used after discontinuities), where the
-    trapezoidal companion current is not yet known - the classic SPICE
-    startup rule.
+    Returns ``(v, companion currents, ok, iterations)``.  The companion
+    conductances ``geq`` must already be stamped into ``asm``.
     """
-    n = circuit.n_nodes
+    free = asm.free
     v = v_guess.copy()
-    for _ in range(max_iter):
-        f = np.zeros(n)
-        jac = np.zeros((n, n))
-        for el in circuit.elements:
-            el.stamp_static(v, f, jac)
-        i_cap_new = np.empty(len(caps))
-        for k, (a, b, c) in enumerate(caps):
-            dv_now = voltage_at(v, a) - voltage_at(v, b)
-            dv_old = voltage_at(v_prev, a) - voltage_at(v_prev, b)
-            if backward_euler:
-                geq = c / h
-                i_k = geq * (dv_now - dv_old)
-            else:
-                geq = 2.0 * c / h
-                i_k = geq * (dv_now - dv_old) - i_cap_prev[k]
-            i_cap_new[k] = i_k
-            if a != GROUND:
-                f[a] += i_k
-                jac[a, a] += geq
-                if b != GROUND:
-                    jac[a, b] -= geq
-            if b != GROUND:
-                f[b] -= i_k
-                jac[b, b] += geq
-                if a != GROUND:
-                    jac[b, a] -= geq
-        f += gmin * v
-        jac[np.diag_indices(n)] += gmin
-
-        residual = f[free]
-        if np.max(np.abs(residual)) < tol_a:
-            return v, i_cap_new, True
+    for iteration in range(1, max_iter + 1):
+        i_cap_new = geq * (asm.cap_voltages(v) - dv_old)
+        if trapezoidal:
+            i_cap_new = i_cap_new - i_cap_prev
+        residual, jac = asm.assemble(v, gmin, i_cap_new)
+        if np.abs(residual).max() < tol_a:
+            return v, i_cap_new, True, iteration
         try:
-            dv = np.linalg.solve(jac[np.ix_(free, free)], -residual)
+            dv = np.linalg.solve(jac, -residual)
         except np.linalg.LinAlgError:
-            return v, i_cap_new, False
-        if not np.all(np.isfinite(dv)):
-            return v, i_cap_new, False
-        max_step = np.max(np.abs(dv))
+            return v, i_cap_new, False, iteration
+        if not np.isfinite(dv).all():
+            return v, i_cap_new, False, iteration
+        max_step = np.abs(dv).max()
         if max_step > damping_v:
             dv *= damping_v / max_step
         v[free] += dv
-    return v, i_cap_prev, False
+    return v, i_cap_prev, False, max_iter
 
 
 def simulate_transient(
@@ -159,7 +134,8 @@ def simulate_transient(
     circuit.validate()
     if dt_s <= 0.0 or t_end_s <= 0.0:
         raise ValueError("time step and end time must be positive")
-    free = circuit.free_nodes()
+    plan = circuit.compile()
+    asm = Assembler(plan, circuit.free_nodes(), dynamic=True)
     n = circuit.n_nodes
 
     monitor = [circuit.node(m) if isinstance(m, str) else m
@@ -175,23 +151,17 @@ def simulate_transient(
     traj = [v.copy()]
     supply_traces: dict[int, list[float]] = {m: [] for m in monitor}
 
-    def record_supplies(v_now: np.ndarray) -> None:
-        if not monitor:
-            return
-        f = np.zeros(n)
-        for el in circuit.elements:
-            el.stamp_static(v_now, f, None)
-        # Static current only; capacitive displacement currents integrate
-        # to ~zero over a cycle and the builders put decoupling caps on
-        # rails anyway.  The dynamic supply charge is added by the caller
-        # from the waveforms when needed.
+    # Static current only; capacitive displacement currents integrate
+    # to ~zero over a cycle and the builders put decoupling caps on
+    # rails anyway.  The dynamic supply charge is added by the caller
+    # from the waveforms when needed.
+    if monitor:
+        f0 = plan.static_currents(v)
         for m in monitor:
-            supply_traces[m].append(float(f[m]))
+            supply_traces[m].append(float(f0[m]))
 
     # Initial capacitor state: zero companion current (consistent DC start).
-    caps = _collect_caps(circuit, v)
-    i_cap = np.zeros(len(caps))
-    record_supplies(v)
+    i_cap = np.zeros(plan.n_caps)
 
     t = 0.0
     first_step = True
@@ -199,22 +169,28 @@ def simulate_transient(
     # the step loop is the hot path of every delay/power figure.
     n_steps = 0
     n_halvings = 0
+    n_newton = 0
     with obs.span("circuit.transient", t_end_s=t_end_s, dt_s=dt_s):
         while t < t_end_s - 1e-21:
             h = min(dt_s, t_end_s - t)
             ok = False
+            # Capacitances lag at the previous converged solution, so
+            # they and the old branch voltages serve every attempt.
+            caps = plan.capacitances(plan.extend(v))
+            dv_old = asm.cap_voltages(v)
             for attempt in range(max_step_halvings + 1):
                 v_try = v.copy()
                 for node, value in circuit.fixed_voltages(t + h).items():
                     v_try[node] = value
-                caps = _collect_caps(circuit, v)
-                if len(caps) != i_cap.size:
-                    raise ConvergenceError(
-                        "element capacitor count changed during simulation")
-                v_new, i_cap_new, ok = _step_newton(
-                    circuit, v_try, free, caps, i_cap, v, h,
-                    gmin, tol_a, max_iter, damping_v,
-                    backward_euler=first_step)
+                # Backward Euler on the very first step (the trapezoidal
+                # companion current is not yet known - the classic SPICE
+                # startup rule), trapezoidal afterwards.
+                geq = caps / h if first_step else 2.0 * caps / h
+                asm.stamp_companions(geq)
+                v_new, i_cap_new, ok, iters = _solve_step(
+                    asm, v_try, dv_old, geq, i_cap, not first_step,
+                    gmin, tol_a, max_iter, damping_v)
+                n_newton += iters
                 if ok:
                     n_halvings += attempt
                     break
@@ -233,11 +209,15 @@ def simulate_transient(
             n_steps += 1
             times.append(t)
             traj.append(v.copy())
-            record_supplies(v)
+            if monitor:
+                # The converged assembly was made at exactly ``v``.
+                for m, i_m in zip(monitor, asm.static_currents(monitor)):
+                    supply_traces[m].append(i_m)
     if obs.ACTIVE:
         obs.incr("circuit.transient_runs")
         obs.incr("circuit.transient_steps", n_steps)
         obs.incr("circuit.step_halvings", n_halvings)
+        obs.incr("circuit.transient_newton_iterations", n_newton)
 
     return TransientResult(
         circuit=circuit,

@@ -127,6 +127,17 @@ class DeviceTable:
         object.__setattr__(self, "_cur_list", cur.tolist())
         object.__setattr__(self, "_chg_list", chg.tolist())
 
+    @property
+    def uniform_grid(self) -> bool:
+        """Whether both bias axes are evenly spaced.
+
+        Scalar lookups on a uniform table use the floor-index rule of
+        :meth:`_scalar_bilinear`, and only uniform tables can be looked
+        up together by a :class:`TableStack`; all other lookups use the
+        ``searchsorted`` rule of :func:`_bilinear`.
+        """
+        return self._uniform
+
     def _scalar_bilinear(self, grid: list, x: float, y: float
                          ) -> tuple[float, float, float]:
         """Pure-Python bilinear evaluation on the uniform grid.
@@ -333,6 +344,134 @@ class DeviceTable:
                        current_a=data["current_a"], charge_c=data["charge_c"],
                        gate_offset_v=float(data["gate_offset_v"]),
                        label=str(data["label"]))
+
+
+class TableStack:
+    """Scalar table queries of many devices, answered in a few array ops.
+
+    Device ``k`` reads ``tables[k]``; the same table may serve many
+    devices, and the tables (nominal, Monte Carlo variants, other gate
+    offsets) must be uniform and share both bias axes.  Each device's
+    result is bitwise equal to the scalar query
+    ``tables[k].current_and_derivatives(vgs, vds)`` (or
+    ``capacitances``): the same V_DS < 0 mirroring, gate offset,
+    floor-index cell rule of :meth:`DeviceTable._scalar_bilinear`, order
+    of corner and edge terms, and C_GS clamp.
+
+    Biases come as one flat array, ``V_GS`` of every device followed by
+    ``V_DS`` of every device.  Internally every quantity is such a flat
+    array of per-device blocks, rearranged by gathers, which cost far
+    less than broadcasting at the few-dozen-device sizes of a circuit.
+    """
+
+    def __init__(self, tables: list[DeviceTable]):
+        first = tables[0]
+        if not all(t.uniform_grid for t in tables):
+            raise ValueError("stacked tables must have uniform bias axes")
+        unique: list[DeviceTable] = []
+        index: dict[int, int] = {}
+        table_index = []
+        for table in tables:
+            if id(table) not in index:
+                if not (np.array_equal(table.vg, first.vg)
+                        and np.array_equal(table.vd, first.vd)):
+                    raise ValueError("stacked tables must share bias axes")
+                index[id(table)] = len(unique)
+                unique.append(table)
+            table_index.append(index[id(table)])
+        m = len(tables)
+        nvg, nvd = first._nvg, first._nvd
+        one = np.ones(m)
+        dev = np.arange(m)
+        self.m = m
+        self._current = np.concatenate([t.current_a.ravel() for t in unique])
+        self._charge = np.concatenate([t.charge_c.ravel() for t in unique])
+        # (vgs, vds) - min(vds, 0) * (1, 2) mirrors V_DS < 0 onto
+        # (vgs - vds, -vds); vds - 2 vds == -vds exactly.
+        self._dev2 = np.tile(dev, 2)
+        self._mirror_scale = np.concatenate((one, 2.0 * one))
+        self._offset2 = np.concatenate(
+            ([t.gate_offset_v for t in tables], 0.0 * one))
+        # The constants of the scalar floor-index rule.
+        self._origin2 = np.concatenate((first._vg0 * one, first._vd0 * one))
+        self._step2 = np.concatenate((first._dvg * one, first._dvd * one))
+        self._f_max2 = np.concatenate(((nvg - 1.0) * one, (nvd - 1.0) * one))
+        self._i_max2 = np.concatenate(
+            ((nvg - 2) * one, (nvd - 2) * one)).astype(np.intp)
+        self._nvd = nvd
+        # Twelve grid reads per device: the four corners f00 f10 f01 f11,
+        # then the minuends (f10 f01 f11 f11) and subtrahends
+        # (f00 f00 f01 f10) of the four edge differences.
+        base = np.array(table_index, dtype=np.intp) * (nvg * nvd)
+        offsets = [0, nvd, 1, nvd + 1, nvd, 1, nvd + 1, nvd + 1,
+                   0, 0, 1, nvd]
+        self._dev12 = np.tile(dev, 12)
+        self._corners = np.concatenate([base + o for o in offsets])
+        # Weights from blocks [1-tx, 1-ty, tx, ty]: x then y factors of
+        # the four value terms, then the edge weights (1-ty 1-tx ty tx).
+        self._weight_rows = np.concatenate(
+            [dev + b * m for b in (0, 2, 0, 2, 1, 1, 3, 3, 1, 0, 3, 2)])
+
+    def _cells(self, bias: np.ndarray):
+        """Mirror mask, twelve flat grid indices per device, and the
+        interpolation weights."""
+        m = self.m
+        mirror = np.minimum(bias[m:], 0.0)
+        x = bias - mirror[self._dev2] * self._mirror_scale
+        x += self._offset2
+        frac = x - self._origin2
+        frac /= self._step2
+        np.maximum(frac, 0.0, out=frac)
+        np.minimum(frac, self._f_max2, out=frac)
+        cell = frac.astype(np.intp)
+        np.minimum(cell, self._i_max2, out=cell)
+        frac -= cell
+        k = cell[:m] * self._nvd + cell[m:]
+        return (mirror < 0.0, k[self._dev12] + self._corners,
+                np.concatenate((1 - frac, frac))[self._weight_rows])
+
+    def _slopes(self, grid: np.ndarray, k: np.ndarray, weight: np.ndarray
+                ) -> np.ndarray:
+        """``[d/dx, d/dy]`` blocks on the (mirrored) internal bias."""
+        m4, m8 = 4 * self.m, 8 * self.m
+        edges = (grid[k[m4:m8]] - grid[k[m8:]]) * weight[m8:]
+        m2 = 2 * self.m
+        slopes = edges[:m2] + edges[m2:]
+        slopes /= self._step2
+        return slopes
+
+    def _value(self, k: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        m, m4 = self.m, 4 * self.m
+        terms = self._current[k[:m4]] * weight[:m4] * weight[m4:2 * m4]
+        return (terms[:m] + terms[m:2 * m] + terms[2 * m:3 * m]
+                + terms[3 * m:])
+
+    def current(self, bias: np.ndarray) -> np.ndarray:
+        """Drain current of every device (A)."""
+        neg, k, weight = self._cells(bias)
+        # Mirrored: I = -f(vgs - vds, -vds).  (x * -1.0 is exact.)
+        return self._value(k, weight) * np.where(neg, -1.0, 1.0)
+
+    def current_and_derivatives(self, bias: np.ndarray
+                                ) -> tuple[np.ndarray, np.ndarray,
+                                           np.ndarray]:
+        """``(I, dI/dV_GS, dI/dV_DS)`` of every device."""
+        neg, k, weight = self._cells(bias)
+        sign = np.where(neg, -1.0, 1.0)
+        slopes = self._slopes(self._current, k, weight)
+        dfdx = slopes[:self.m]
+        # Mirrored: dI/dvgs = -f_x, dI/dvds = f_x + f_y.
+        return (self._value(k, weight) * sign, dfdx * sign,
+                neg * dfdx + slopes[self.m:])
+
+    def capacitances(self, bias: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Intrinsic ``(C_GS,i, C_GD,i)`` of every device (F)."""
+        _, k, weight = self._cells(bias)
+        slopes = np.abs(self._slopes(self._charge, k, weight))
+        cgd = slopes[self.m:]
+        cgs = slopes[:self.m] - cgd
+        return np.where(cgs > 0.0, cgs, 0.0), cgd
 
 
 # Default bias grid: the paper tabulates 0..0.75 V; the gate axis is

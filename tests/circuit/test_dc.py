@@ -106,7 +106,5 @@ class TestNonlinearCircuits:
         c.fix(vin, 0.2)
         add_inverter(c, "inv", vin, vout, vdd, nt, pt, params)
         result = solve_dc(c)
-        f = np.zeros(c.n_nodes)
-        for el in c.elements:
-            el.stamp_static(result.voltages, f, None)
+        f = c.compile().static_currents(result.voltages)
         assert np.max(np.abs(f[c.free_nodes()])) < 1e-12

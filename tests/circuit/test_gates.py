@@ -79,3 +79,30 @@ class TestCharacterization:
         nt, pt = nominal_pair
         with pytest.raises(ValueError):
             characterize_gate("xor2", nt, pt, 0.4, params)
+
+    @pytest.mark.parametrize("failing_pin", ["a", "b"])
+    def test_failed_pin_makes_worst_delay_nan(self, failing_pin,
+                                              nominal_pair, params,
+                                              monkeypatch):
+        """The worst delay is NaN whichever pin failed to switch."""
+        import repro.circuit.gates as gates
+        from repro.errors import AnalysisError
+
+        measure = gates.propagation_delays
+        calls = []
+
+        def flaky(*args, **kwargs):
+            pin = "ab"[len(calls)]
+            calls.append(pin)
+            if pin == failing_pin:
+                raise AnalysisError("output never crossed mid-swing")
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "propagation_delays", flaky)
+        nt, pt = nominal_pair
+        metrics = characterize_gate("nand2", nt, pt, 0.4, params)
+        assert calls == ["a", "b"]
+        assert np.isnan(metrics.delays_s[failing_pin])
+        other = "b" if failing_pin == "a" else "a"
+        assert np.isfinite(metrics.delays_s[other])
+        assert np.isnan(metrics.worst_delay_s)

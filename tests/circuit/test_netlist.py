@@ -72,6 +72,16 @@ class TestValidation:
         c.fix(c.node("unused_rail"), 1.0)
         c.validate()
 
+    def test_unsupported_element_rejected(self):
+        class Diode:
+            nodes = (0, GROUND)
+
+        c = Circuit()
+        c.node("a")
+        with pytest.raises(CircuitError, match="unsupported"):
+            c.add(Diode())
+        assert c.elements == []
+
     def test_valid_circuit_passes(self):
         c = Circuit()
         c.add(Resistor(c.node("a"), GROUND, 1e3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.device.tables import DeviceTable
+from repro.device.tables import DeviceTable, TableStack
 from repro.errors import TableRangeError
 
 
@@ -124,6 +124,54 @@ class TestCapacitances:
         t = _toy_table()
         cgs, cgd = t.capacitances(0.1, 0.7)
         assert cgs >= 0.0 and cgd >= 0.0
+
+
+class TestTableStack:
+    def _tables(self):
+        """Devices on three tables over shared axes, one table repeated."""
+        t = _toy_table()
+        vg, vd = np.meshgrid(t.vg, t.vd, indexing="ij")
+        curved = DeviceTable(vg=t.vg, vd=t.vd,
+                             current_a=1e-6 * np.exp(vg) * np.tanh(4 * vd),
+                             charge_c=1e-18 * (vg ** 2 + vg * vd - vd ** 3),
+                             gate_offset_v=-0.07)
+        return [t, curved, t.with_gate_offset(0.13), curved, t, curved]
+
+    def test_bitwise_equal_to_scalar_queries(self):
+        tables = self._tables()
+        stack = TableStack(tables)
+        rng = np.random.default_rng(7)
+        # Interior, off-table and V_DS < 0 (mirrored) biases, and the
+        # grid points and edges the floor-index rule must hit exactly.
+        points = [rng.uniform(-0.9, 1.4, size=(2, len(tables)))
+                  for _ in range(20)]
+        points += [np.array([[0.0] * 6, [-0.3, 0.0, 0.4, -0.0, 0.8, 0.1]]),
+                   np.array([[-0.4, 1.0, 0.25, -0.5, 1.2, 0.0],
+                             [0.8, 0.0, -0.8, 0.9, 0.05, 0.0]])]
+        for vgs, vds in points:
+            bias = np.concatenate((vgs, vds))
+            i, gm, gds = stack.current_and_derivatives(bias)
+            assert stack.current(bias).tobytes() == i.tobytes()
+            cgs, cgd = stack.capacitances(bias)
+            for k, t in enumerate(tables):
+                x, y = float(vgs[k]), float(vds[k])
+                assert (i[k], gm[k], gds[k]) == \
+                    t.current_and_derivatives(x, y)
+                assert (cgs[k], cgd[k]) == t.capacitances(x, y)
+
+    def test_rejects_non_uniform_or_mismatched_axes(self):
+        t = _toy_table()
+        vg = np.concatenate([[-0.6], t.vg])
+        gg, dd = np.meshgrid(vg, t.vd, indexing="ij")
+        non_uniform = DeviceTable(vg=vg, vd=t.vd, current_a=gg * dd,
+                                  charge_c=gg + dd)
+        assert t.uniform_grid and not non_uniform.uniform_grid
+        with pytest.raises(ValueError, match="uniform"):
+            TableStack([t, non_uniform])
+        shifted = DeviceTable(vg=t.vg + 0.05, vd=t.vd,
+                              current_a=t.current_a, charge_c=t.charge_c)
+        with pytest.raises(ValueError, match="share"):
+            TableStack([t, shifted])
 
 
 class TestComposition:
