@@ -57,10 +57,6 @@ RESULT_NEUTRAL_ENV = frozenset({
     "REPRO_STRICT",
     "REPRO_FAULTS",
     "REPRO_SANITIZE",
-    "REPRO_SCHEDULER",
-    "REPRO_HOSTS",
-    "REPRO_LEASE_TIMEOUT",
-    "REPRO_HEARTBEAT_S",
 })
 
 #: Classes whose constructor takes a cache key as first argument.

@@ -4,7 +4,7 @@ The runtime exposes one dispatch seam: :class:`repro.runtime.scheduler.
 Scheduler`.  Exploration, variability and characterization code that
 calls ``parallel_map`` directly bypasses that seam — it hard-codes the
 process-pool policy, cannot be redirected by callers that inject a
-scheduler (tests, benchmarks, the distributed backend), and silently
+scheduler (tests, benchmarks), and silently
 diverges from the chunk-planning and fault-recovery behaviour the
 ``LocalScheduler`` layers on top.
 

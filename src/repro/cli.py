@@ -34,9 +34,7 @@ fig3/fig6 experiments onto the adaptive engines
 (:mod:`repro.exploration.adaptive`,
 :mod:`repro.variability.adaptive`; exporting ``REPRO_ADAPTIVE`` /
 ``REPRO_REFINE_LEVELS`` / ``REPRO_MC_TARGET_CI`` — see
-``docs/performance.md``).  ``--scheduler`` / ``--hosts`` select the
-dispatch seam (:mod:`repro.runtime.distributed`; exporting
-``REPRO_SCHEDULER`` / ``REPRO_HOSTS`` — see ``docs/robustness.md``).
+``docs/performance.md``).
 ``repro trace summarize`` renders a manifest as a human-readable
 summary (or a condensed JSON document).
 """
@@ -63,10 +61,8 @@ from repro.variability.adaptive import MC_TARGET_CI_ENV
 from repro.runtime import (
     CHECKPOINT_ENV,
     FAULTS_ENV,
-    HOSTS_ENV,
     NO_CACHE_ENV,
     RESUME_ENV,
-    SCHEDULER_ENV,
     STRICT_ENV,
     WORKERS_ENV,
     ArtifactCache,
@@ -104,10 +100,6 @@ def _apply_runtime_flags(args) -> None:
         os.environ[REFINE_LEVELS_ENV] = str(args.refine_levels)
     if getattr(args, "mc_target_ci", None) is not None:
         os.environ[MC_TARGET_CI_ENV] = str(args.mc_target_ci)
-    if getattr(args, "scheduler", None):
-        os.environ[SCHEDULER_ENV] = str(args.scheduler)
-    if getattr(args, "hosts", None):
-        os.environ[HOSTS_ENV] = str(args.hosts)
     if getattr(args, "engine", None):
         os.environ[ENGINE_ENV] = str(args.engine)
     if getattr(args, "backend", None):
@@ -258,15 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the adaptive Monte Carlo stops (default "
                             "0.05 with --adaptive; equivalent to "
                             "REPRO_MC_TARGET_CI=CI)")
-    p_run.add_argument("--scheduler", choices=("local", "distributed"),
-                       default=None,
-                       help="dispatch seam behind every sweep wave "
-                            "(equivalent to REPRO_SCHEDULER=NAME; "
-                            "default local)")
-    p_run.add_argument("--hosts", default=None, metavar="SPEC",
-                       help="agent host spec for --scheduler distributed, "
-                            "e.g. 'local*3' or 'ssh a@box;ssh b@box' "
-                            "(equivalent to REPRO_HOSTS=SPEC)")
     p_run.add_argument("--engine", choices=ENGINES, default=None,
                        help="transport engine for device sweeps "
                             "(equivalent to REPRO_ENGINE=NAME; default "

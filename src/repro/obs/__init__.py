@@ -113,8 +113,8 @@ class Recorder:
         """Set a string annotation (last writer wins).
 
         Annotations carry small categorical facts that are not numbers —
-        the scheduler kind of a run, a degradation reason — and surface
-        verbatim in the run manifest.
+        such as the scheduler kind of a run — and surface verbatim in the
+        run manifest.
         """
         self.annotations[name] = str(value)
 

@@ -3,10 +3,9 @@
 The energy-batched Sancho-Rubio decimation and RGF transmission sweeps
 (:mod:`repro.negf.self_energy`, :mod:`repro.negf.greens`) spend their
 time in stacked LAPACK/BLAS calls glued together by a thin Python
-recurrence.  That glue is where alternative array runtimes can win: a
+recurrence.  That glue is where an alternative array runtime can win: a
 JIT that fuses the per-energy loop (numba) removes the stacked-temporary
-traffic, and a GPU runtime (cupy) moves the whole batch off-host.  This
-module is the seam those runtimes plug into.
+traffic.  This module is the seam such a runtime plugs into.
 
 Design rules
 ------------
@@ -29,9 +28,9 @@ Design rules
 Environment
 -----------
 ``REPRO_BACKEND``
-    ``numpy`` (default), ``numba`` (JIT'd per-energy kernels; requires
-    the optional numba package), or ``cupy`` (GPU stub; requires cupy).
-    Checked at every resolution, so tests can flip it mid-process.
+    ``numpy`` (default) or ``numba`` (JIT'd per-energy kernels;
+    requires the optional numba package).  Checked at every resolution,
+    so tests can flip it mid-process.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from repro.errors import ReproError
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Names accepted by ``REPRO_BACKEND`` (empty means numpy).
-BACKEND_NAMES = ("numpy", "numba", "cupy")
+BACKEND_NAMES = ("numpy", "numba")
 
 DEFAULT_BACKEND = "numpy"
 
@@ -64,7 +63,7 @@ class ArrayBackend:
     Attributes
     ----------
     name:
-        Backend identifier (``numpy`` / ``numba`` / ``cupy``).
+        Backend identifier (``numpy`` / ``numba``).
     sancho_rubio:
         Fused surface-GF decimation kernel with the signature of
         :func:`repro.negf.self_energy.sancho_rubio_surface_gf_batched`
@@ -103,7 +102,6 @@ def available_backends() -> dict[str, bool]:
     return {
         "numpy": True,
         "numba": _module_available("numba"),
-        "cupy": _module_available("cupy"),
     }
 
 
@@ -130,16 +128,6 @@ def _build_backend(name: str) -> ArrayBackend:
             sancho_rubio=backend_numba.sancho_rubio_batched,
             rgf_transmission=backend_numba.rgf_transmission_batched,
         )
-    if name == "cupy":
-        # GPU stub: selection validates the runtime exists, but the
-        # fused kernels are not implemented yet — transport falls back
-        # to the inline numpy recurrences (counted as fallbacks).
-        if not _module_available("cupy"):
-            raise BackendUnavailableError(
-                "REPRO_BACKEND=cupy but the cupy package is not "
-                "installed; this backend is a stub pending a GPU "
-                "runtime — unset REPRO_BACKEND to use numpy")
-        return ArrayBackend(name="cupy")
     raise BackendUnavailableError(
         f"unknown array backend {name!r}; expected one of "
         f"{', '.join(BACKEND_NAMES)}")

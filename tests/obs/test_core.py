@@ -130,9 +130,9 @@ class TestAnnotations:
     def test_last_writer_wins(self):
         obs.enable()
         obs.annotate("scheduler_kind", "LocalScheduler")
-        obs.annotate("scheduler_kind", "DistributedScheduler")
+        obs.annotate("scheduler_kind", "RecordingScheduler")
         assert obs.snapshot()["annotations"] == {
-            "scheduler_kind": "DistributedScheduler"}
+            "scheduler_kind": "RecordingScheduler"}
 
     def test_values_are_coerced_to_str(self):
         obs.enable()

@@ -93,13 +93,18 @@ class TestInject:
         faults.inject("scf", 5)  # must not raise
 
 
-class TestHostLevelSites:
-    def test_host_level_sites_parse(self):
-        plan = faults.parse_spec("host@2;stall@3x1;lease@0")
-        assert plan == {("host", 2): None, ("stall", 3): 1,
-                        ("lease", 0): None}
+class TestSites:
+    def test_every_site_parses(self):
+        plan = faults.parse_spec("scf@2;sr@3x1;worker@0;checkpoint@1")
+        assert plan == {("scf", 2): None, ("sr", 3): 1,
+                        ("worker", 0): None, ("checkpoint", 1): None}
 
-    def test_host_site_crashes_the_process(self):
+    @pytest.mark.parametrize("spec", ["host@0", "stall@3x1", "lease@0"])
+    def test_unknown_site_rejected(self, spec):
+        with pytest.raises(ValueError, match="bad fault clause"):
+            faults.parse_spec(spec)
+
+    def test_worker_site_crashes_the_process(self):
         # os._exit must not run inside the test process: exercise it in
         # a child and check the documented exit code.
         import subprocess
@@ -107,17 +112,6 @@ class TestHostLevelSites:
         code = subprocess.call([
             sys.executable, "-c",
             "from repro.runtime import faults;"
-            "faults.enable('host@0');"
-            "faults.inject('host', 0)"])
-        assert code == 23
-
-    def test_stall_and_lease_never_raise_from_inject(self):
-        # `stall` sleeps (agent-side) and `lease` is consumed by the
-        # scheduler at grant time; inject() must not raise for either.
-        faults.enable("lease@0")
-        faults.inject("lease", 0)
-
-    def test_lease_site_consumed_via_should_fire(self):
-        faults.enable("lease@5x1")
-        assert faults.should_fire("lease", 5)
-        assert not faults.should_fire("lease", 5)
+            "faults.enable('worker@0');"
+            "faults.inject('worker', 0)"])
+        assert code == 17
