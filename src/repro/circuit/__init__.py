@@ -24,7 +24,11 @@ from repro.circuit.elements import (
     CompactMOSFET,
 )
 from repro.circuit.dc import solve_dc, DCResult
-from repro.circuit.transient import simulate_transient, TransientResult
+from repro.circuit.transient import (
+    simulate_transient,
+    simulate_transients,
+    TransientResult,
+)
 from repro.circuit.vtc import compute_vtc
 from repro.circuit.snm import butterfly_curves, static_noise_margin
 from repro.circuit.metrics import (
@@ -38,11 +42,13 @@ from repro.circuit.inverter import (
     add_inverter,
     build_inverter_chain,
     characterize_inverter,
+    characterize_inverters,
     estimate_inverter_delay,
     estimate_inverter_energy,
     inverter_snm,
     inverter_static_power_w,
     inverter_vtc,
+    InverterJob,
     InverterMetrics,
 )
 from repro.circuit.ring_oscillator import (
@@ -71,6 +77,7 @@ __all__ = [
     "solve_dc",
     "DCResult",
     "simulate_transient",
+    "simulate_transients",
     "TransientResult",
     "compute_vtc",
     "butterfly_curves",
@@ -88,6 +95,8 @@ __all__ = [
     "inverter_vtc",
     "build_inverter_chain",
     "characterize_inverter",
+    "characterize_inverters",
+    "InverterJob",
     "InverterMetrics",
     "build_ring_oscillator",
     "simulate_ring_oscillator",

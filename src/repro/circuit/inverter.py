@@ -10,6 +10,9 @@ Two characterization paths:
 
 * :func:`characterize_inverter` — full transient + DC: the reference path
   used for the paper's Tables 2-4 and the headline operating points.
+  :func:`characterize_inverters` runs many at once: each is prepared
+  (estimate, chain, two DC solves), all transients integrate as lanes
+  of one lockstep batch, then each is measured (delays, powers, SNM).
 * :func:`estimate_inverter_delay` / :func:`estimate_inverter_energy` —
   quasi-static estimators (effective-current / total-switched-charge),
   two orders of magnitude faster, used for the dense V_DD-V_T exploration
@@ -19,6 +22,7 @@ Two characterization paths:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +32,14 @@ from repro.circuit.elements import Capacitor, Resistor, TableFET
 from repro.circuit.metrics import propagation_delays
 from repro.circuit.netlist import Circuit
 from repro.circuit.snm import butterfly_curves, static_noise_margin
-from repro.circuit.transient import simulate_transient
+from repro.circuit.transient import (
+    TransientResult,
+    simulate_transient,
+    simulate_transients,
+)
 from repro.circuit.vtc import compute_vtc
 from repro.device.tables import DeviceTable
+from repro.errors import AnalysisError
 
 
 @dataclass(frozen=True)
@@ -227,6 +236,163 @@ def inverter_snm(
     return static_noise_margin(butterfly_curves(vin, vout))
 
 
+@dataclass(frozen=True)
+class InverterJob:
+    """The arguments of one :func:`characterize_inverter` call, for
+    :func:`characterize_inverters`."""
+
+    n_table: DeviceTable
+    p_table: DeviceTable
+    vdd: float
+    params: CircuitParameters | None = None
+    load_tables: tuple[DeviceTable, DeviceTable] | None = None
+    dt_s: float = 0.25e-12
+    cycle_s: float | None = None
+
+
+class _Bench:
+    """One characterization in flight: the FO4 chain, its DC levels
+    and the current stimulus period."""
+
+    def __init__(self, job: InverterJob):
+        params = job.params or CircuitParameters()
+        vdd = job.vdd
+        est = estimate_inverter_delay(job.n_table, job.p_table, vdd, params)
+        self.job = job
+        self.params = params
+        self.cycle_s = (max(16.0 * est, 40e-12) if job.cycle_s is None
+                        else job.cycle_s)
+        self.ramp_s = max(2.0 * est, 2e-12)
+        self.dt_s = job.dt_s
+        circuit = self.circuit = build_inverter_chain(
+            job.n_table, job.p_table, vdd, params, job.load_tables)
+        self.vin = circuit.node("in")
+        self.vout = circuit.node("out")
+        self.vdd_node = circuit.node("vdd")
+        # Initial condition: DC with input low; also record the two
+        # static output levels so delays can be measured at the *actual*
+        # mid-swing (degraded variants may not reach the rails).
+        dc0 = solve_dc(circuit)
+        self.v0 = dc0.voltages
+        v_out_high = dc0.voltage(self.vout)
+        circuit.fixed[self.vin] = vdd
+        v_out_low = solve_dc(circuit, v0=dc0.voltages).voltage(self.vout)
+        self.out_threshold = 0.5 * (v_out_high + v_out_low)
+        self._set_stimulus()
+
+    def _set_stimulus(self) -> None:
+        vdd, cycle_s, ramp = self.job.vdd, self.cycle_s, self.ramp_s
+        half = cycle_s / 2.0
+
+        def vin_waveform(t: float) -> float:
+            # Low for the first half-cycle (output falls after the
+            # initial rise edge), then high.  Start low->high at t=ramp.
+            t_mod = t % cycle_s
+            if t_mod < ramp:
+                return vdd * (t_mod / ramp)
+            if t_mod < half:
+                return vdd
+            if t_mod < half + ramp:
+                return vdd * (1.0 - (t_mod - half) / ramp)
+            return 0.0
+
+        self.circuit.fixed[self.vin] = vin_waveform
+
+    def stretch(self) -> None:
+        """Double the period (and coarsen the step) after a missed edge."""
+        self.cycle_s *= 2.0
+        self.dt_s *= 1.5
+        self._set_stimulus()
+
+    def delays(self, result: TransientResult) -> tuple[float, float]:
+        """``(t_PLH, t_PHL)`` on the second cycle; ``AnalysisError`` if
+        an edge is missing."""
+        t = result.time_s
+        second = t >= self.cycle_s
+        return propagation_delays(
+            t[second], result.v(self.vin)[second],
+            result.v(self.vout)[second], self.job.vdd,
+            out_threshold_v=self.out_threshold)
+
+    def measure(self, result: TransientResult, t_plh: float,
+                t_phl: float) -> InverterMetrics:
+        """Delay, powers and SNM from the settled transient."""
+        job, params, vdd = self.job, self.params, self.job.vdd
+        n_table, p_table = job.n_table, job.p_table
+        p_stat = inverter_static_power_w(n_table, p_table, vdd, params)
+        # Energy of the second cycle from the DUT supply (includes the
+        # loads; they switch with the DUT, which is the realistic FO4
+        # context).
+        t = result.time_s
+        second = t >= self.cycle_s
+        i_vdd = result.supply_currents[self.vdd_node]
+        e_cycle = float(np.trapezoid(i_vdd[second] * vdd, t[second]))
+        # Subtract leakage of the whole circuit: the DUT leaks at its own
+        # rate; the replicas leak at the (possibly different) load-device
+        # rate.
+        lt = job.load_tables or (n_table, p_table)
+        p_stat_load = (p_stat if lt[0] is n_table and lt[1] is p_table
+                       else inverter_static_power_w(lt[0], lt[1], vdd,
+                                                    params))
+        leak_total = p_stat + params.fanout * p_stat_load
+        p_dyn = max(e_cycle / self.cycle_s - leak_total, 0.0)
+
+        snm = inverter_snm(n_table, p_table, vdd, params)
+        return InverterMetrics(delay_s=0.5 * (t_plh + t_phl), t_plh_s=t_plh,
+                               t_phl_s=t_phl, static_power_w=p_stat,
+                               dynamic_power_w=p_dyn, snm_v=snm, vdd=vdd)
+
+
+#: Attempts at the two-cycle transient before a variant is declared to
+#: have lost its logic swing (each retry doubles the period).
+EDGE_ATTEMPTS = 3
+
+
+def _characterize(benches: list[_Bench]
+                  ) -> list[InverterMetrics | AnalysisError]:
+    """Integrate and measure prepared benches, all lanes in lockstep.
+
+    Two full cycles are simulated and measured on the second (settled)
+    one.  Heavily degraded variants can settle slower than the
+    quasi-static estimate suggests: the lanes that miss an edge are run
+    again, as a new batch, with a doubled cycle.
+    """
+    outcomes: dict[int, InverterMetrics | AnalysisError] = {}
+    waiting = list(range(len(benches)))
+    for _attempt in range(EDGE_ATTEMPTS):
+        if not waiting:
+            break
+        lanes = [benches[k] for k in waiting]
+        if len(lanes) == 1:
+            # A lone lane (the nominal, the last retry) is a plain run.
+            (b,) = lanes
+            results = [simulate_transient(b.circuit, 2.0 * b.cycle_s, b.dt_s,
+                                          b.v0, monitor_supplies=("vdd",))]
+        else:
+            results = simulate_transients(
+                [b.circuit for b in lanes], [2.0 * b.cycle_s for b in lanes],
+                [b.dt_s for b in lanes], [b.v0 for b in lanes],
+                monitor_supplies=("vdd",))
+        missed = []
+        for k, bench, result in zip(waiting, lanes, results):
+            try:
+                t_plh, t_phl = bench.delays(result)
+            except AnalysisError:
+                bench.stretch()
+                missed.append(k)
+                continue
+            try:
+                outcomes[k] = bench.measure(result, t_plh, t_phl)
+            except AnalysisError as exc:
+                outcomes[k] = exc
+        waiting = missed
+    for k in waiting:
+        outcomes[k] = AnalysisError(
+            "inverter output never completed both transitions; the "
+            "variant may have lost its logic swing")
+    return [outcomes[k] for k in range(len(benches))]
+
+
 def characterize_inverter(
     n_table: DeviceTable,
     p_table: DeviceTable,
@@ -243,89 +409,39 @@ def characterize_inverter(
     divided by the cycle period.  The period defaults to 16x a
     quasi-static delay estimate so that every variant is compared at the
     same activity (the paper compares variants at a fixed operating
-    point).
+    point).  Raises :class:`~repro.errors.AnalysisError` if the output
+    misses an edge even with a period doubled twice.
     """
-    params = params or CircuitParameters()
-    est = estimate_inverter_delay(n_table, p_table, vdd, params)
-    if cycle_s is None:
-        cycle_s = max(16.0 * est, 40e-12)
-    ramp = max(2.0 * est, 2e-12)
-    half = cycle_s / 2.0
+    job = InverterJob(n_table, p_table, vdd, params, load_tables, dt_s,
+                      cycle_s)
+    (outcome,) = _characterize([_Bench(job)])
+    if isinstance(outcome, AnalysisError):
+        raise outcome
+    return outcome
 
-    def vin_waveform(t: float) -> float:
-        # Low for the first half-cycle (output falls after the initial
-        # rise edge), then high.  Start low->high at t=ramp.
-        t_mod = t % cycle_s
-        if t_mod < ramp:
-            return vdd * (t_mod / ramp)
-        if t_mod < half:
-            return vdd
-        if t_mod < half + ramp:
-            return vdd * (1.0 - (t_mod - half) / ramp)
-        return 0.0
 
-    circuit = build_inverter_chain(n_table, p_table, vdd, params,
-                                   load_tables)
-    vin = circuit.node("in")
-    vout = circuit.node("out")
-    vdd_node = circuit.node("vdd")
+def characterize_inverters(jobs: Sequence[InverterJob]
+                           ) -> list[InverterMetrics | AnalysisError]:
+    """:func:`characterize_inverter` of every job, transients in lockstep.
 
-    # Initial condition: DC with input low; also record the two static
-    # output levels so delays can be measured at the *actual* mid-swing
-    # (degraded variants may not reach the rails).
-    circuit.fixed[vin] = 0.0
-    dc0 = solve_dc(circuit)
-    v_out_high = dc0.voltage(vout)
-    circuit.fixed[vin] = vdd
-    v_out_low = solve_dc(circuit, v0=dc0.voltages).voltage(vout)
-    out_threshold = 0.5 * (v_out_high + v_out_low)
-    circuit.fixed[vin] = 0.0
-    circuit.fixed[vin] = vin_waveform
-
-    # Simulate two full cycles; measure on the second (settled) cycle.
-    # Heavily degraded variants can settle slower than the quasi-static
-    # estimate suggests; retry with a doubled cycle if an edge is missed.
-    from repro.errors import AnalysisError
-
-    for _attempt in range(3):
-        result = simulate_transient(circuit, 2.0 * cycle_s, dt_s,
-                                    dc0.voltages,
-                                    monitor_supplies=(vdd_node,))
-        t = result.time_s
-        second = t >= cycle_s
+    Returns, per job, its metrics or the
+    :class:`~repro.errors.AnalysisError` it raised; other errors
+    propagate.  Every FO4 chain has one plan shape, so all jobs
+    integrate as lanes of one batch (see
+    :func:`~repro.circuit.transient.simulate_transients`), each lane
+    bitwise equal to its own :func:`characterize_inverter`.  A single
+    job runs through :func:`characterize_inverter` itself.
+    """
+    jobs = list(jobs)
+    if len(jobs) == 1:
         try:
-            t_plh, t_phl = propagation_delays(
-                t[second], result.v(vin)[second], result.v(vout)[second],
-                vdd, out_threshold_v=out_threshold)
-            break
-        except AnalysisError:
-            cycle_s *= 2.0
-            half = cycle_s / 2.0
-            dt_s *= 1.5
-    else:
-        raise AnalysisError(
-            "inverter output never completed both transitions; the "
-            "variant may have lost its logic swing")
-    delay = 0.5 * (t_plh + t_phl)
-
-    p_stat = inverter_static_power_w(n_table, p_table, vdd, params)
-    # Energy of the second cycle from the DUT supply (includes the loads;
-    # they switch with the DUT, which is the realistic FO4 context).
-    i_vdd = result.supply_currents[circuit.node("vdd")]
-    e_cycle = float(np.trapezoid(i_vdd[second] * vdd, t[second]))
-    # Subtract leakage of the whole circuit: the DUT leaks at its own
-    # rate; the replicas leak at the (possibly different) load-device
-    # rate.
-    lt = load_tables or (n_table, p_table)
-    p_stat_load = (p_stat if lt[0] is n_table and lt[1] is p_table
-                   else inverter_static_power_w(lt[0], lt[1], vdd, params))
-    leak_total = p_stat + params.fanout * p_stat_load
-    p_dyn = max(e_cycle / cycle_s - leak_total, 0.0)
-
-    snm = inverter_snm(n_table, p_table, vdd, params)
-    return InverterMetrics(delay_s=delay, t_plh_s=t_plh, t_phl_s=t_phl,
-                           static_power_w=p_stat, dynamic_power_w=p_dyn,
-                           snm_v=snm, vdd=vdd)
+            return [characterize_inverter(
+                jobs[0].n_table, jobs[0].p_table, jobs[0].vdd,
+                jobs[0].params, jobs[0].load_tables, jobs[0].dt_s,
+                jobs[0].cycle_s)]
+        except AnalysisError as exc:
+            return [exc]
+    return _characterize([_Bench(job) for job in jobs])
 
 
 # --------------------------------------------------------------------- #

@@ -73,14 +73,15 @@ class _TableGroup:
         self.gd_nodes = _rows([f.g for f in fets], [f.d for f in fets],
                               dtype=np.intp)
         self.ss_nodes = np.tile([f.s for f in fets], 2)
-        self.polarity = np.array([f.el.polarity for f in fets], dtype=float)
-        self.polarity2 = np.tile(self.polarity, 2)
+        polarity = np.array([f.el.polarity for f in fets], dtype=float)
+        self.polarity2 = np.tile(polarity, 2)
         self.dev2 = np.tile(dev, 2)
         # Jacobian blocks dd dg ds sd sg ss from [gds, gm, gds + gm].
         self.j_rows = _rows(*(dev + b * m for b in (0, 1, 2, 0, 1, 2)),
                             dtype=np.intp)
         self.j_signs = _rows(*(sg * one for sg in (1, 1, -1, -1, -1, 1)))
-        self.plus_minus = _rows(one, -one)
+        # Device current times polarity, into d and out of s.
+        self.f_signs = _rows(polarity, -polarity)
         # Weight slots, block by block: f (d, s), J (dd .. ss), C (gs, gd).
         self.f_slots = _rows(*zip(*(f.f_slots for f in fets)), dtype=np.intp)
         self.j_slots = _rows(*zip(*(f.j_slots for f in fets)), dtype=np.intp)
@@ -103,8 +104,8 @@ class _TableGroup:
             # A p-device's derivatives carry polarity twice: unchanged.
             rows = np.concatenate((gds, gm, gds + gm))
             w_j[self.j_slots] = rows[self.j_rows] * self.j_signs
-        i = i * self.polarity
-        w_f[self.f_slots] = i[self.dev2] * self.plus_minus
+        # Signs are +-1, so either order of the two flips is exact.
+        w_f[self.f_slots] = i[self.dev2] * self.f_signs
 
     def capacitances(self, vx, c) -> None:
         cgs, cgd = self.stack.capacitances(self._bias(vx))
@@ -179,11 +180,23 @@ class StampPlan:
     the target slot of every weight: the static block first
     (``n_static_f`` / ``n_static_j`` entries), then two residual and
     four Jacobian entries per capacitor.
+
+    A plan of ``lanes`` circuits of one shape (:meth:`stacked`) is the
+    plan of their disjoint union: ``elements`` lists every lane's
+    elements, lane by lane, and node ``k`` of lane ``l`` becomes node
+    ``l * lane_nodes + k``, all lanes sharing the ground slot.  Each
+    weight block is then lane-major, so every slot still receives its
+    contributions in its own lane's order, and the table FETs of all
+    lanes fall into the same groups.
     """
 
-    def __init__(self, elements, n_nodes: int):
-        n = n_nodes
-        self.n_nodes = n
+    def __init__(self, elements, n_nodes: int, lanes: int = 1):
+        if len(elements) % lanes:
+            raise CircuitError("every lane must have the same elements")
+        per_lane = len(elements) // lanes
+        self.lanes = lanes
+        self.lane_nodes = n_nodes
+        n = self.n_nodes = lanes * n_nodes
         touched = np.zeros(n + 1, dtype=bool)
         f_nodes: list[int] = []
         f_const: list[float] = []
@@ -196,14 +209,17 @@ class StampPlan:
         fets: list[_Fet] = []
         res: list[tuple[int, int, float, int]] = []
 
-        for el in elements:
+        for k, el in enumerate(elements):
+            offset = (k // per_lane) * n_nodes
             nodes = []
             for node in el.nodes:
                 if node == GROUND:
                     node = n
-                elif not 0 <= node < n:
+                elif not 0 <= node < n_nodes:
                     raise CircuitError(
                         f"element {el!r} references unknown node {node}")
+                else:
+                    node += offset
                 nodes.append(node)
             touched[nodes] = True
             if isinstance(el, (TableFET, CompactMOSFET)):
@@ -261,12 +277,13 @@ class StampPlan:
         self.cap_template = np.array(cap_const, dtype=float)
 
         res_a, res_b, res_g, res_f = zip(*res) if res else ((),) * 4
-        self.res_a = np.array(res_a, dtype=np.intp)
-        self.res_b = np.array(res_b, dtype=np.intp)
-        self.res_g = np.array(res_g, dtype=float)
-        # Weight slots of the current out of a (then into b).
-        self.res_f = np.array(res_f, dtype=np.intp)
-        self.res_f_b = self.res_f + 1
+        # Both terminals of every resistor, as (from, to) node pairs:
+        # (a, b) writes the current out of a, (b, a) the current into b.
+        self.res_a = np.array(res_a + res_b, dtype=np.intp)
+        self.res_b = np.array(res_b + res_a, dtype=np.intp)
+        self.res_g = np.array(res_g * 2, dtype=float)
+        self.res_f = np.array(res_f + tuple(k + 1 for k in res_f),
+                              dtype=np.intp)
 
         by_axes: dict[tuple, list[_Fet]] = {}
         single: list[_Fet] = []
@@ -285,11 +302,18 @@ class StampPlan:
                 single += members
         self.devices = _DeviceList(single) if single else None
 
+    @classmethod
+    def stacked(cls, circuits: Sequence) -> "StampPlan":
+        """One plan over circuits of the same shape, one lane each."""
+        return cls([el for c in circuits for el in c.elements],
+                   circuits[0].n_nodes, lanes=len(circuits))
+
     # --- evaluation ------------------------------------------------------
     def extend(self, v: np.ndarray) -> np.ndarray:
-        """Node voltages with the ground/discard slot (0 V) appended."""
+        """Node voltages (of every lane) with the ground/discard slot
+        (0 V) appended."""
         vx = np.empty(self.n_nodes + 1)
-        vx[:-1] = v
+        vx[:-1] = v.reshape(-1)
         vx[-1] = 0.0
         return vx
 
@@ -301,9 +325,9 @@ class StampPlan:
         if self.devices is not None:
             self.devices.stamp(vx.tolist(), w_f, w_j)
         if self.res_g.size:
-            i = self.res_g * (vx[self.res_a] - vx[self.res_b])
-            w_f[self.res_f] = i
-            w_f[self.res_f_b] = -i
+            # g (v_b - v_a) is exactly -g (v_a - v_b): one pass writes
+            # the current out of a and the current into b.
+            w_f[self.res_f] = self.res_g * (vx[self.res_a] - vx[self.res_b])
 
     def capacitances(self, vx: np.ndarray) -> np.ndarray:
         """Every two-terminal capacitance, in capacitor order (F)."""
@@ -329,67 +353,121 @@ class Assembler:
     """Newton workspace of one analysis: weight buffers and slot maps.
 
     ``dynamic`` appends the capacitor companion block to the static one
-    (transient); DC assembles the static block alone.
+    (transient); DC assembles the static block alone.  ``free`` holds
+    the unknown nodes of one lane (every lane of a stacked plan has the
+    same).  Each lane gets its own residual vector and Jacobian block,
+    all filled by one ``np.bincount`` per array; voltages come as
+    ``(n_nodes,)`` for a one-lane plan or ``(lanes, lane_nodes)``, and
+    results carry the same leading shape.
     """
 
     def __init__(self, plan: StampPlan, free: np.ndarray,
                  dynamic: bool = False):
         self.plan = plan
         self.free = free
-        # Unknown index of every node; ground and fixed nodes map to the
-        # discard row/column ``nf``.
+        lanes, n = plan.lanes, plan.lane_nodes
+        # Unknown index of every node within its lane; ground and fixed
+        # nodes map to the discard row/column ``nf``.  Ground is shared
+        # by the lanes, so an entry takes the lane of its other node.
         nf = self.nf = int(free.size)
-        to_free = np.full(plan.n_nodes + 1, nf, dtype=np.intp)
-        to_free[free] = np.arange(nf)
+        local = np.full(n, nf, dtype=np.intp)
+        local[free] = np.arange(nf)
+        to_free = np.append(np.tile(local, lanes), nf)
+        to_lane = np.append(np.repeat(np.arange(lanes), n), 0)
         n_f = plan.f_nodes.size if dynamic else plan.n_static_f
         n_j = plan.j_rows.size if dynamic else plan.n_static_j
-        self.f_slots = to_free[plan.f_nodes[:n_f]]
-        self.j_slots = (to_free[plan.j_rows[:n_j]] * (nf + 1)
-                        + to_free[plan.j_cols[:n_j]])
-        self.j_size = (nf + 1) ** 2
-        self.diag = np.arange(nf) * (nf + 2)
+        f_nodes = plan.f_nodes[:n_f]
+        rows, cols = plan.j_rows[:n_j], plan.j_cols[:n_j]
+        block = (nf + 1) ** 2
+        self.f_slots = to_lane[f_nodes] * (nf + 1) + to_free[f_nodes]
+        # gmin closes the Jacobian block: added to each lane's diagonal
+        # after every stamp, as its own trailing weights.
+        diag = (np.arange(lanes)[:, None] * block
+                + np.arange(nf) * (nf + 2)).ravel()
+        self.j_slots = np.concatenate((
+            np.maximum(to_lane[rows], to_lane[cols]) * block
+            + to_free[rows] * (nf + 1) + to_free[cols], diag))
+        self.f_size = lanes * (nf + 1)
+        self.j_size = lanes * block
         self.w_f = plan.f_template[:n_f].copy()
-        self.w_j = plan.j_template[:n_j].copy()
+        self.w_j = np.concatenate((plan.j_template[:n_j], np.zeros(diag.size)))
         self.vx = np.zeros(plan.n_nodes + 1)
+        #: Every lane's unknowns as indices into the flat voltages, one
+        #: row per lane, and as one flat run.
+        self.free_x = self.node_index(free)
+        self.free_flat = self.free_x.ravel()
+        # Result shapes: one lane's vectors (DC), or one row per lane.
+        self._one = ((nf + 1,), (nf + 1, nf + 1), (nf,))
+        self._per_lane = ((lanes, nf + 1), (lanes, nf + 1, nf + 1),
+                          (lanes, nf))
         # Views of the companion blocks: (a, b) rows of f, four of J.
         self.comp_f = self.w_f[plan.n_static_f:].reshape(-1, 2).T
-        self.comp_j = self.w_j[plan.n_static_j:].reshape(-1, 4).T
+        self.comp_j = self.w_j[plan.n_static_j:n_j].reshape(-1, 4).T
+        self.w_gmin = self.w_j[n_j:]
 
     def stamp_companions(self, geq: np.ndarray) -> None:
-        """Companion conductances of one step attempt."""
+        """Companion conductances of one step attempt (flat, lane-major)."""
         self.comp_j[:] = geq * _COMPANION_SIGNS
 
     def cap_voltages(self, v: np.ndarray) -> np.ndarray:
-        """Voltage across every capacitor at ``v``."""
+        """Voltage across every capacitor at ``v`` (flat, lane-major)."""
         vx = self.vx
-        vx[:-1] = v
+        vx[:-1] = v.reshape(-1)
         return vx[self.plan.cap_a] - vx[self.plan.cap_b]
 
-    def assemble(self, v: np.ndarray, gmin: float,
-                 i_cap: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Free-node residual and Jacobian at ``v``, gmin included.
+    def node_index(self, nodes: np.ndarray) -> np.ndarray:
+        """Flat indices of ``nodes`` in every lane, shape
+        ``(lanes, len(nodes))``."""
+        plan = self.plan
+        return np.arange(plan.lanes)[:, None] * plan.lane_nodes + nodes
 
-        ``i_cap`` holds every capacitor's companion current (dynamic
-        assemblers only).
+    def assemble(self, v: np.ndarray, gmin: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Free-node residual and Jacobian at ``v`` (one lane, shape
+        ``(n_nodes,)``), gmin included."""
+        self.vx[:-1] = v
+        return self._scatter(gmin, self._one)
+
+    def assemble_step(self, v: np.ndarray, gmin: float, geq: np.ndarray,
+                      v_cap_old: np.ndarray,
+                      i_cap_old: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Companion currents, residual and Jacobian of a step attempt.
+
+        The companion currents are ``geq * (v_cap - v_cap_old)``, less
+        ``i_cap_old`` for a trapezoidal step (flat, lane-major, like
+        every capacitor quantity); the conductances ``geq`` must already
+        be stamped (dynamic assemblers only).  ``v`` has one row per
+        lane, and so do the residual and Jacobian.
         """
         vx = self.vx
-        vx[:-1] = v
-        self.plan.static_weights(vx, self.w_f, self.w_j)
-        if i_cap is not None:
-            self.comp_f[:] = i_cap * _PLUS_MINUS
-        nf = self.nf
-        f = np.bincount(self.f_slots, weights=self.w_f, minlength=nf + 1)
-        jac = np.bincount(self.j_slots, weights=self.w_j,
-                          minlength=self.j_size)
-        jac[self.diag] += gmin
-        return (f[:nf] + gmin * v[self.free],
-                jac.reshape(nf + 1, nf + 1)[:nf, :nf])
+        vx[:-1] = v.reshape(-1)
+        i_cap = geq * (vx[self.plan.cap_a] - vx[self.plan.cap_b] - v_cap_old)
+        if i_cap_old is not None:
+            i_cap -= i_cap_old
+        self.comp_f[:] = i_cap * _PLUS_MINUS
+        f, jac = self._scatter(gmin, self._per_lane)
+        return i_cap, f, jac
 
-    def static_currents(self, nodes: Sequence[int]) -> list[float]:
-        """Static current out of ``nodes`` at the last assembly."""
+    def _scatter(self, gmin: float, shapes: tuple
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Static weights at the loaded voltages, then the scatter."""
+        self.plan.static_weights(self.vx, self.w_f, self.w_j)
+        self.w_gmin[:] = gmin
+        nf = self.nf
+        f_shape, j_shape, v_shape = shapes
+        f = np.bincount(self.f_slots, weights=self.w_f,
+                        minlength=self.f_size).reshape(f_shape)
+        jac = np.bincount(self.j_slots, weights=self.w_j,
+                          minlength=self.j_size).reshape(j_shape)
+        gv = gmin * self.vx[self.free_flat].reshape(v_shape)
+        return f[..., :nf] + gv, jac[..., :nf, :nf]
+
+    def static_currents(self, index: np.ndarray) -> np.ndarray:
+        """Static current out of the nodes at flat ``index`` (see
+        :meth:`node_index`) at the last assembly."""
         plan = self.plan
         f = np.bincount(plan.f_nodes[:plan.n_static_f],
                         weights=self.w_f[:plan.n_static_f],
                         minlength=plan.n_nodes + 1)
-        return [float(f[node]) for node in nodes]
+        return f[index]

@@ -54,12 +54,12 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
     """
     counters = snapshot.get("counters", {})
     histograms = snapshot.get("histograms", {})
-    annotations = snapshot.get("annotations", {})
 
     def count(name: str) -> float:
         return counters.get(name, 0)
 
     scf_solves = count("scf.solves")
+    transient_batches = count("circuit.transient_batches")
     scf_iterations = count("scf.iterations")
     warm_solves = count("scf.warm_solves")
     warm_iterations = count("scf.warm_iterations")
@@ -93,6 +93,11 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
         "chain_rgf_energy_points_total": count("negf.chain_energy_points"),
         "newton_iterations_total": count("circuit.newton_iterations"),
         "transient_steps_total": count("circuit.transient_steps"),
+        # Lockstep lanes: transients integrated per batch (1.0 when
+        # every transient ran alone).
+        "transient_lanes_per_batch": (
+            count("circuit.transient_runs") / transient_batches
+            if transient_batches else None),
         "device_bias_points": count("device.bias_points"),
         "cache_hits": hits,
         "cache_misses": artifact_misses,
@@ -109,8 +114,6 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
         "worker_crash_recoveries": count("resilience.worker_crash_recoveries"),
         "checkpoint_writes": count("resilience.checkpoint_writes"),
         "checkpoint_resumes": count("resilience.checkpoint_resumes"),
-        # Scheduler attribution: which dispatch seam ran the waves.
-        "scheduler_kind": annotations.get("scheduler_kind", "LocalScheduler"),
     }
 
 
@@ -145,7 +148,6 @@ def build_manifest(label: str,
         "histograms": snap.get("histograms", {}),
         "spans": snap.get("spans", {}),
         "failures": snap.get("failures", []),
-        "annotations": snap.get("annotations", {}),
         "rollups": compute_rollups(snap),
     }
 

@@ -78,7 +78,6 @@ from repro.runtime.scheduler import (
     LocalScheduler,
     Scheduler,
     resolve_scheduler,
-    scheduler_kind,
 )
 from repro.runtime.resilience import (
     CHECKPOINT_ENV,
@@ -134,7 +133,6 @@ __all__ = [
     "resolve_scheduler",
     "resolve_workers",
     "resume_enabled",
-    "scheduler_kind",
     "run_ladder",
     "spawn_seed_sequences",
     "stacked_identity",

@@ -31,7 +31,7 @@ choices affect wall-clock only, never values.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from repro.errors import ParallelMapError
 from repro.runtime.parallel import (
@@ -112,14 +112,8 @@ def resolve_scheduler(scheduler: Scheduler | None = None,
     return LocalScheduler(workers=workers)
 
 
-def scheduler_kind(scheduler: Any) -> str:
-    """Short label for obs/manifest attribution."""
-    return type(scheduler).__name__
-
-
 __all__ = [
     "LocalScheduler",
     "Scheduler",
     "resolve_scheduler",
-    "scheduler_kind",
 ]

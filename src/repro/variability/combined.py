@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.circuit.inverter import InverterMetrics, characterize_inverter
 from repro.exploration.technology import GNRFETTechnology
 from repro.variability.variants import DeviceVariant
-from repro.variability.width import VariabilityEntry, sensitivity_entry
+from repro.variability.width import VariabilityEntry, sensitivity_entries
 
 #: The paper's Table 4 axis: (index, impurity charge) combinations.
 TABLE4_VARIANTS: tuple[tuple[int, float], ...] = (
@@ -30,13 +30,9 @@ def combined_variation_study(
     """Full Table 4: entries keyed by ``((p_N, p_q), (n_N, n_q))``."""
     nominal = characterize_inverter(*tech.inverter_tables(vt), vdd,
                                     tech.params)
-    entries = {}
-    for p_spec in variants:
-        for n_spec in variants:
-            entry = sensitivity_entry(
-                tech,
-                DeviceVariant(n_index=n_spec[0], impurity_e=n_spec[1]),
-                DeviceVariant(n_index=p_spec[0], impurity_e=p_spec[1]),
-                nominal, vdd, vt)
-            entries[(p_spec, n_spec)] = entry
-    return nominal, entries
+    keys = [(p_spec, n_spec) for p_spec in variants for n_spec in variants]
+    pairs = [(DeviceVariant(n_index=n_spec[0], impurity_e=n_spec[1]),
+              DeviceVariant(n_index=p_spec[0], impurity_e=p_spec[1]))
+             for p_spec, n_spec in keys]
+    return nominal, dict(zip(keys, sensitivity_entries(
+        tech, pairs, nominal, vdd, vt)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.circuit.inverter import InverterMetrics, characterize_inverter
 from repro.exploration.technology import GNRFETTechnology
 from repro.variability.variants import DeviceVariant
-from repro.variability.width import VariabilityEntry, sensitivity_entry
+from repro.variability.width import VariabilityEntry, sensitivity_entries
 
 
 def charge_impurity_study(
@@ -26,15 +26,9 @@ def charge_impurity_study(
     """
     nominal = characterize_inverter(*tech.inverter_tables(vt), vdd,
                                     tech.params)
-    entries: dict[tuple[float, float], VariabilityEntry] = {}
-    for q_p in charges:
-        for q_n in charges:
-            if q_p == 0.0 and q_n == 0.0:
-                continue
-            entry = sensitivity_entry(
-                tech,
-                DeviceVariant(impurity_e=q_n),
-                DeviceVariant(impurity_e=q_p),
-                nominal, vdd, vt)
-            entries[(q_p, q_n)] = entry
-    return nominal, entries
+    keys = [(q_p, q_n) for q_p in charges for q_n in charges
+            if not (q_p == 0.0 and q_n == 0.0)]
+    pairs = [(DeviceVariant(impurity_e=q_n), DeviceVariant(impurity_e=q_p))
+             for q_p, q_n in keys]
+    return nominal, dict(zip(keys, sensitivity_entries(
+        tech, pairs, nominal, vdd, vt)))

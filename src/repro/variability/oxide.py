@@ -19,9 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from repro.circuit.inverter import InverterMetrics, characterize_inverter
+from repro.circuit.inverter import (
+    InverterJob,
+    InverterMetrics,
+    characterize_inverter,
+    characterize_inverters,
+)
 from repro.device.geometry import GNRFETGeometry
 from repro.device.tables import build_device_table
+from repro.errors import AnalysisError
 from repro.exploration.technology import GNRFETTechnology
 
 
@@ -65,14 +71,18 @@ def oxide_thickness_study(
     def pct(value, ref):
         return 100.0 * (value - ref) / ref
 
-    entries = []
+    jobs = []
     for t_ox in thicknesses_nm:
         geometry = oxide_variant_geometry(tech.geometry, t_ox)
         table = (build_device_table(geometry)
                  .scaled(tech.params.n_ribbons)
                  .with_gate_offset(offset))
-        metrics = characterize_inverter(table, table, vdd, tech.params,
-                                        load_tables=tech.inverter_tables(vt))
+        jobs.append(InverterJob(table, table, vdd, tech.params,
+                                load_tables=tech.inverter_tables(vt)))
+    entries = []
+    for t_ox, metrics in zip(thicknesses_nm, characterize_inverters(jobs)):
+        if isinstance(metrics, AnalysisError):
+            raise metrics
         entries.append(OxideEntry(
             oxide_thickness_nm=t_ox, metrics=metrics,
             delay_pct=pct(metrics.delay_s, nominal.delay_s),

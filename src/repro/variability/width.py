@@ -9,13 +9,16 @@ dynamic power and SNM relative to the nominal (N=12/N=12) inverter.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.circuit.inverter import (
+    InverterJob,
     InverterMetrics,
     characterize_inverter,
+    characterize_inverters,
     inverter_snm,
     inverter_static_power_w,
 )
@@ -49,6 +52,42 @@ def _pct(value: float, nominal: float) -> float:
     return 100.0 * (value - nominal) / nominal
 
 
+def variant_job(
+    tech: GNRFETTechnology,
+    n_variant: DeviceVariant,
+    p_variant: DeviceVariant,
+    n_affected: int,
+    vdd: float,
+    vt: float,
+) -> InverterJob:
+    """The characterization of one variant inverter driving a nominal
+    FO4 load, with ``n_affected`` ribbons of each device varied."""
+    offset = tech.gate_offset_for_vt(vt)
+    nt = variant_array_table(n_variant, +1, n_affected, offset,
+                             tech.params.n_ribbons, tech.geometry)
+    pt = variant_array_table(p_variant, -1, n_affected, offset,
+                             tech.params.n_ribbons, tech.geometry)
+    return InverterJob(nt, pt, vdd, tech.params,
+                       load_tables=tech.inverter_tables(vt))
+
+
+def _variant_metrics(job: InverterJob,
+                     outcome: InverterMetrics | AnalysisError,
+                     degenerate_ok: bool) -> InverterMetrics:
+    """A job's metrics; a broken cell's NaN ones if ``degenerate_ok``."""
+    if not isinstance(outcome, AnalysisError):
+        return outcome
+    if not degenerate_ok:
+        raise outcome
+    return InverterMetrics(
+        delay_s=np.nan, t_plh_s=np.nan, t_phl_s=np.nan,
+        static_power_w=inverter_static_power_w(job.n_table, job.p_table,
+                                               job.vdd, job.params),
+        dynamic_power_w=np.nan,
+        snm_v=inverter_snm(job.n_table, job.p_table, job.vdd, job.params),
+        vdd=job.vdd)
+
+
 def characterize_variant_inverter(
     tech: GNRFETTechnology,
     n_variant: DeviceVariant,
@@ -67,25 +106,47 @@ def characterize_variant_inverter(
     still measured (the SNM of a collapsed cell is 0 by the bistability
     rule).
     """
-    offset = tech.gate_offset_for_vt(vt)
-    nt = variant_array_table(n_variant, +1, n_affected, offset,
-                             tech.params.n_ribbons, tech.geometry)
-    pt = variant_array_table(p_variant, -1, n_affected, offset,
-                             tech.params.n_ribbons, tech.geometry)
-    nominal = tech.inverter_tables(vt)
-    try:
-        return characterize_inverter(nt, pt, vdd, tech.params,
-                                     load_tables=nominal)
-    except AnalysisError:
-        if not degenerate_ok:
-            raise
-        return InverterMetrics(
-            delay_s=np.nan, t_plh_s=np.nan, t_phl_s=np.nan,
-            static_power_w=inverter_static_power_w(nt, pt, vdd,
-                                                   tech.params),
-            dynamic_power_w=np.nan,
-            snm_v=inverter_snm(nt, pt, vdd, tech.params),
-            vdd=vdd)
+    job = variant_job(tech, n_variant, p_variant, n_affected, vdd, vt)
+    (outcome,) = characterize_inverters([job])
+    return _variant_metrics(job, outcome, degenerate_ok)
+
+
+def sensitivity_entries(
+    tech: GNRFETTechnology,
+    pairs: Sequence[tuple[DeviceVariant, DeviceVariant]],
+    nominal: InverterMetrics,
+    vdd: float,
+    vt: float,
+    scenarios: tuple[int, int] = (1, 4),
+    degenerate_ok: bool = True,
+) -> list[VariabilityEntry]:
+    """Both scenarios of every ``(n_variant, p_variant)`` pair, as
+    percentage deltas, all characterized in one lockstep batch.
+
+    Broken (swing-less) cells surface as NaN percentages (rendered as
+    ``-`` by the reporting layer) rather than aborting the study.
+    """
+    jobs = [variant_job(tech, n_variant, p_variant, n_affected, vdd, vt)
+            for n_variant, p_variant in pairs for n_affected in scenarios]
+    metrics = [_variant_metrics(job, outcome, degenerate_ok)
+               for job, outcome in zip(jobs, characterize_inverters(jobs))]
+    entries = []
+    for k, (n_variant, p_variant) in enumerate(pairs):
+        m_one, m_all = metrics[2 * k], metrics[2 * k + 1]
+        entries.append(VariabilityEntry(
+            n_label=n_variant.label(), p_label=p_variant.label(),
+            delay_pct=(_pct(m_one.delay_s, nominal.delay_s),
+                       _pct(m_all.delay_s, nominal.delay_s)),
+            static_power_pct=(
+                _pct(m_one.static_power_w, nominal.static_power_w),
+                _pct(m_all.static_power_w, nominal.static_power_w)),
+            dynamic_power_pct=(
+                _pct(m_one.dynamic_power_w, nominal.dynamic_power_w),
+                _pct(m_all.dynamic_power_w, nominal.dynamic_power_w)),
+            snm_pct=(_pct(m_one.snm_v, nominal.snm_v),
+                     _pct(m_all.snm_v, nominal.snm_v)),
+            metrics_one=m_one, metrics_all=m_all))
+    return entries
 
 
 def sensitivity_entry(
@@ -98,29 +159,9 @@ def sensitivity_entry(
     scenarios: tuple[int, int] = (1, 4),
     degenerate_ok: bool = True,
 ) -> VariabilityEntry:
-    """Both scenarios of one variant pair, as percentage deltas.
-
-    Broken (swing-less) cells surface as NaN percentages (rendered as
-    ``-`` by the reporting layer) rather than aborting the study.
-    """
-    m_one = characterize_variant_inverter(tech, n_variant, p_variant,
-                                          scenarios[0], vdd, vt,
-                                          degenerate_ok=degenerate_ok)
-    m_all = characterize_variant_inverter(tech, n_variant, p_variant,
-                                          scenarios[1], vdd, vt,
-                                          degenerate_ok=degenerate_ok)
-    return VariabilityEntry(
-        n_label=n_variant.label(), p_label=p_variant.label(),
-        delay_pct=(_pct(m_one.delay_s, nominal.delay_s),
-                   _pct(m_all.delay_s, nominal.delay_s)),
-        static_power_pct=(_pct(m_one.static_power_w, nominal.static_power_w),
-                          _pct(m_all.static_power_w, nominal.static_power_w)),
-        dynamic_power_pct=(
-            _pct(m_one.dynamic_power_w, nominal.dynamic_power_w),
-            _pct(m_all.dynamic_power_w, nominal.dynamic_power_w)),
-        snm_pct=(_pct(m_one.snm_v, nominal.snm_v),
-                 _pct(m_all.snm_v, nominal.snm_v)),
-        metrics_one=m_one, metrics_all=m_all)
+    """Both scenarios of one variant pair (see :func:`sensitivity_entries`)."""
+    return sensitivity_entries(tech, [(n_variant, p_variant)], nominal, vdd,
+                               vt, scenarios, degenerate_ok)[0]
 
 
 def width_variation_study(
@@ -136,13 +177,9 @@ def width_variation_study(
     """
     nominal = characterize_inverter(*tech.inverter_tables(vt), vdd,
                                     tech.params)
-    entries: dict[tuple[int, int], VariabilityEntry] = {}
-    for n_p in indices:
-        for n_n in indices:
-            if n_p == 12 and n_n == 12:
-                continue
-            entry = sensitivity_entry(
-                tech, DeviceVariant(n_index=n_n), DeviceVariant(n_index=n_p),
-                nominal, vdd, vt)
-            entries[(n_p, n_n)] = entry
-    return nominal, entries
+    keys = [(n_p, n_n) for n_p in indices for n_n in indices
+            if not (n_p == 12 and n_n == 12)]
+    pairs = [(DeviceVariant(n_index=n_n), DeviceVariant(n_index=n_p))
+             for n_p, n_n in keys]
+    return nominal, dict(zip(keys, sensitivity_entries(
+        tech, pairs, nominal, vdd, vt)))

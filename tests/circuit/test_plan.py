@@ -308,11 +308,10 @@ def plan_step_assemble(circuit, v, v_prev, i_cap_prev, h, gmin,
     caps = plan.capacitances(plan.extend(v_prev))
     geq = caps / h if backward_euler else 2.0 * caps / h
     asm.stamp_companions(geq)
-    i_new = geq * (asm.cap_voltages(v) - asm.cap_voltages(v_prev))
-    if not backward_euler:
-        i_new = i_new - i_cap_prev
-    f, jac = asm.assemble(v, gmin, i_new)
-    return f, jac, i_new
+    i_new, f, jac = asm.assemble_step(
+        v, gmin, geq, asm.cap_voltages(v_prev),
+        None if backward_euler else i_cap_prev)
+    return f[0], jac[0], i_new
 
 
 def assert_bitwise(actual, expected):

@@ -50,23 +50,6 @@ class TestRollups:
         assert roll["transient_steps_total"] == 0
         assert roll["device_bias_points"] == 0
 
-    def test_scheduler_rollups(self):
-        obs.enable()
-        obs.annotate("scheduler_kind", "RecordingScheduler")
-        roll = obs.compute_rollups(obs.snapshot())
-        assert roll["scheduler_kind"] == "RecordingScheduler"
-
-    def test_scheduler_kind_defaults_to_local(self):
-        roll = obs.compute_rollups({"counters": {}, "histograms": {}})
-        assert roll["scheduler_kind"] == "LocalScheduler"
-
-    def test_manifest_carries_annotations_block(self):
-        obs.enable()
-        obs.annotate("scheduler_kind", "RecordingScheduler")
-        manifest = obs.build_manifest(label="t", config={})
-        assert manifest["annotations"] == {
-            "scheduler_kind": "RecordingScheduler"}
-
     def test_memory_hits_count_as_cache_hits(self):
         roll = obs.compute_rollups(
             {"counters": {"cache.table_memory_hits": 2,
